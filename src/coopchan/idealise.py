@@ -248,22 +248,25 @@ class _Segmenter:
     # -- engines --------------------------------------------------------------
 
     def max_feasible_end(self, a: int) -> int:
-        """Largest probed b with [a, b) feasible, via doubling plus bisection.
-        The returned end is always verified feasible."""
+        """Largest probed b with [a, b) feasible, via bounded doubling plus
+        bisection.  Doubling probes end at b + step capped at n, and [a, n)
+        is probed only when the doubling reaches n, so the samples probed
+        per segment grow with that segment's length, not with the rest of
+        the recording.  The returned end is always verified feasible."""
         n = self.n
-        if self.feasible(a, n):
-            return n
         lo = a + 1  # single extra sample is never constrained
         hi = n
         step = max(8, 4 * self.stride)
         b = lo
-        while b + step < hi:
-            if self.feasible(a, b + step):
-                b += step
-                step *= 2
-            else:
-                hi = b + step
+        while b < n:
+            probe = min(b + step, n)
+            if not self.feasible(a, probe):
+                hi = probe
                 break
+            if probe == n:
+                return n
+            b = probe
+            step *= 2
         lo = b
         while hi - lo > 1:
             mid = (lo + hi) // 2
