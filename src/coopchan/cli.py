@@ -172,7 +172,7 @@ def _read_recording_arg(path, rate):
         return cio.read_recording(path, sample_rate=rate)
     except FileNotFoundError as err:
         _fail(3, str(err))
-    except (ValueError, IndexError) as err:
+    except ValueError as err:
         _fail(2, f"cannot read recording: {err}")
 
 

@@ -205,11 +205,6 @@ def equal_spacing_cluster(levels, weights=None, L: int = 1, n_polish: int = 20) 
     return LevelLadder(L=L, offset=float(offset), spacing=float(spacing), sse=float(best_sse))
 
 
-def segment_levels_and_durations(ideal: Idealisation) -> tuple[np.ndarray, np.ndarray]:
-    """Level multiset of an idealisation, weighted by segment duration."""
-    return ideal.fit.levels, ideal.fit.durations()
-
-
 def discretise_trace(ideal: Idealisation, ladder: LevelLadder, sample_rate: float) -> DiscreteTrace:
     """Per-sample open-channel counts: each sample's idealised level maps to
     the nearest rung (midpoints round down)."""

@@ -34,11 +34,6 @@ class InvalidAlpha(ValueError):
     pass
 
 
-class NoFeasibleFit(RuntimeError):
-    """Kept for API completeness; infeasibility is reported via the
-    Idealisation.feasible flag rather than raised."""
-
-
 class SignBounds:
     """Two-sided sign-count bounds for windows of a length-n sequence.
 
@@ -85,12 +80,6 @@ class SignBounds:
         return self.bounds(m)[1]
 
 
-def sign_bounds(alpha: float, m: int, n: int) -> tuple[int, int]:
-    """Admissible sign-count range for one window of length m in a length-n
-    sequence (see SignBounds)."""
-    return SignBounds(alpha, n).bounds(m)
-
-
 @dataclass(frozen=True)
 class Idealisation:
     """Piecewise-constant fit of a recording.
@@ -109,12 +98,6 @@ class Idealisation:
     def __post_init__(self):
         if self.n_switches != self.fit.n_changes:
             raise ValueError("n_switches must equal the number of level changes")
-
-    def segment_levels(self) -> np.ndarray:
-        return self.fit.levels
-
-    def segment_durations(self) -> np.ndarray:
-        return self.fit.durations()
 
 
 class _ScaleWindows:

@@ -101,15 +101,30 @@ def write_recording(recording: Recording, path) -> None:
     dump_json(meta, meta_path(path))
 
 
+def _first_sample_line(path: Path) -> int:
+    """Index of the first sample row of a recording CSV.  Leading blank lines
+    are skipped, and so is a header: a first non-blank line that does not
+    start like a number.  Raises ValueError when no sample row follows."""
+    after_header = False
+    with path.open() as fh:
+        for i, line in enumerate(fh):
+            text = line.strip()
+            if not text:
+                continue
+            if after_header or text[0].isdigit() or text[0] in "-+.":
+                return i
+            after_header = True
+    raise ValueError(f"{path} holds no samples")
+
+
 def read_recording(path, sample_rate: float | None = None) -> Recording:
-    """Read a two-column CSV (with or without a header); the sidecar
-    .meta.json restores the kernel and truth when present, otherwise the
-    sampling rate must be supplied and an identity kernel is assumed."""
+    """Read a CSV of time and current columns (with or without a header;
+    further columns are ignored); the sidecar .meta.json restores the kernel
+    and truth when present, otherwise the sampling rate must be supplied or
+    is inferred from the time column, and an identity kernel is assumed."""
     path = Path(path)
-    rows = path.read_text().strip().splitlines()
-    if rows and not rows[0][0].isdigit() and not rows[0].lstrip().startswith(("-", "+", ".")):
-        rows = rows[1:]
-    data = np.array([[float(c) for c in row.split(",")[:2]] for row in rows])
+    data = np.loadtxt(path, delimiter=",", usecols=(0, 1), ndmin=2,
+                      skiprows=_first_sample_line(path))
     samples = data[:, 1]
     meta_file = meta_path(path)
     truth = None

@@ -11,18 +11,20 @@ from coopchan.core import StepFunction
 from coopchan.idealise import (
     InvalidAlpha,
     SignBounds,
+    _exclusion_samples,
     _Segmenter,
     check_idealisation,
     empirical_fdr,
     muscle_fit,
-    sign_bounds,
 )
+from coopchan.model import ParamVector
 from coopchan.synth import (
     NoiseSpec,
     Recording,
     convolve_sample,
     make_kernel,
     sample_noise,
+    synthesize_recording,
 )
 
 
@@ -48,7 +50,7 @@ def exact_binomial_lower(m, level):
 class TestSignBounds:
     def test_single_sample_unconstrained(self):
         for alpha in (0.01, 0.1, 0.5, 0.99):
-            assert sign_bounds(alpha, 1, 100) == (0, 1)
+            assert SignBounds(alpha, 100).bounds(1) == (0, 1)
 
     def test_matches_exact_summation_oracle(self):
         sb = SignBounds(0.1, 10_000)
@@ -87,7 +89,7 @@ class TestSignBounds:
         with pytest.raises(InvalidAlpha):
             SignBounds(1.5, 100)
         with pytest.raises(ValueError):
-            sign_bounds(0.1, 200, 100)
+            SignBounds(0.1, 100).bounds(200)
 
 
 class TestMuscleBasics:
@@ -259,3 +261,36 @@ class TestRobustness:
                 found += ideal.n_switches == 2
             rates[kind] = found / n_seeds
         assert abs(rates["gaussian"] - rates["cauchy"]) <= 0.10
+
+
+class TestScaling:
+    @staticmethod
+    def probed_samples(rec):
+        """Samples covered by the feasibility probes of the greedy pass."""
+        prob = _Segmenter(rec.samples, d=_exclusion_samples(rec),
+                          stride=rec.kernel.decimation_stride(), alpha=0.1)
+        total = 0
+        feasible = prob.feasible
+
+        def counting(a, b, c=None):
+            nonlocal total
+            total += b - a
+            return feasible(a, b, c)
+
+        prob.feasible = counting
+        prob.greedy_segments()
+        return total
+
+    def test_greedy_probes_grow_linearly_in_n(self):
+        # counts, not timings: probing the rest of the recording for every
+        # segment makes probed / n grow with n
+        theta = ParamVector.constant(3, 0.998, 0.998)
+        kernel = make_kernel("bessel", 10_000.0, cutoff=2_500.0)
+        per_sample = []
+        for n in (10_000, 40_000):
+            rec = synthesize_recording(theta, n, 10_000.0, kernel=kernel,
+                                       noise=NoiseSpec("gaussian", sigma=0.1), seed=11)
+            probed = self.probed_samples(rec)
+            assert probed <= 16 * n
+            per_sample.append(probed / n)
+        assert per_sample[1] <= 1.2 * per_sample[0]

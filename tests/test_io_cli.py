@@ -1,16 +1,19 @@
 import json
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coopchan import io as cio
 from coopchan.cli import main
 from coopchan.core import DiscreteTrace, LevelLadder
 from coopchan.idealise import muscle_fit
 from coopchan.model import ParamVector
-from coopchan.synth import NoiseSpec, synthesize_recording
+from coopchan.synth import NoiseSpec, Recording, make_kernel, synthesize_recording
 
 
 @pytest.fixture
@@ -35,6 +38,38 @@ class TestIORoundTrips:
         np.testing.assert_array_equal(back.kernel.taps, rec.kernel.taps)
         np.testing.assert_array_equal(back.truth.discrete.values, rec.truth.discrete.values)
         np.testing.assert_array_equal(back.truth.theta.flat, rec.truth.theta.flat)
+
+    @given(samples=st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                            min_size=1, max_size=50),
+           header=st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_recording_samples_round_trip_bit_for_bit(self, samples, header):
+        rec = Recording(samples=np.array(samples), sample_rate=250.0,
+                        kernel=make_kernel("identity", 250.0))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "rec.csv"
+            cio.write_recording(rec, path)
+            if not header:
+                path.write_text(path.read_text().split("\n", 1)[1])
+            back = cio.read_recording(path)
+        assert back.samples.tobytes() == rec.samples.tobytes()
+        assert back.sample_rate == rec.sample_rate
+
+    def test_csv_layout_rules(self, tmp_path):
+        # leading blank lines and an optional header are skipped, further
+        # columns are ignored
+        path = tmp_path / "lab.csv"
+        path.write_text("\n  \ntime,current,voltage\n0.5,1.25,-80\n1.0,-2.5e-3,-80\n")
+        rec = cio.read_recording(path)
+        np.testing.assert_array_equal(rec.samples, [1.25, -2.5e-3])
+        assert rec.sample_rate == 2.0
+
+    @pytest.mark.parametrize("text", ["", "\n\n", "time,current\n", "\ntime,current\n\n"])
+    def test_recording_without_samples_is_rejected(self, tmp_path, text):
+        path = tmp_path / "empty.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="no samples"):
+            cio.read_recording(path, sample_rate=10.0)
 
     def test_headerless_csv_ingestion(self, tmp_path):
         path = tmp_path / "bare.csv"
@@ -208,6 +243,15 @@ class TestCli:
             "pipeline", "--input", str(tmp_path / "nope.csv"), "--out", str(tmp_path),
         ])
         assert result.exit_code == 3
+
+    def test_header_only_input_exit_code(self, runner, tmp_path):
+        src = tmp_path / "header.csv"
+        src.write_text("time,current\n")
+        result = runner.invoke(main, [
+            "pipeline", "--input", str(src), "--rate", "1000", "--out", str(tmp_path / "out"),
+        ])
+        assert result.exit_code == 2
+        assert "no samples" in result.output
 
     def test_stage_failure_keeps_partial_artifacts(self, runner, tmp_path):
         # a one-sample recording idealises fine but cannot be fitted; the
