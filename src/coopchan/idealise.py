@@ -119,8 +119,9 @@ class _ScaleWindows:
         if up <= length - 1:
             ranks.append(up)
         part = np.partition(windows, ranks, axis=1)
-        # feasible levels satisfy c > lowcut (so that >= lo samples sit below)
-        # and c <= highcut (so that <= up samples sit below)
+        # a level c with lowcut < c < highcut has >= lo samples below it and
+        # <= up samples at or below it, so its count is feasible whatever the
+        # ties; c == highcut can put a tie at rank up, so it is counted
         self.lowcut = part[:, lo - 1] if lo >= 1 else np.full(self.n_windows, -np.inf)
         self.highcut = part[:, up] if up <= length - 1 else np.full(self.n_windows, np.inf)
 
@@ -187,7 +188,7 @@ class _Segmenter:
                 continue
             low = sw.lowcut[j0:j1 + 1]
             high = sw.highcut[j0:j1 + 1]
-            ok = (low < c) & (c <= high)
+            ok = (low < c) & (c < high)
             if ok.all():
                 continue
             # ties (or a genuine violation): count exactly, halving ties

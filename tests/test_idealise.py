@@ -230,6 +230,45 @@ class TestFuzz:
         assert len(ideal.fit.levels) == ideal.n_switches + 1
 
 
+def recount_feasible(prob, a, b):
+    """Feasibility of segment [a, b) by counting every tested grid window
+    of every dyadic scale at the segment level, ties counted as halves."""
+    c = prob.level(a, b)
+    s = 0 if a == 0 else min(a + prob.d, b)
+    sd, bd = -(-s // prob.stride), -(-b // prob.stride)
+    length = 2
+    while length <= bd - sd:
+        lo, up = prob.bounds.bounds(length)
+        step = max(1, length // 2)
+        for start in range(-(-sd // step) * step, bd - length + 1, step):
+            window = prob.yd[start:start + length]
+            count = np.sum(window < c) + 0.5 * np.sum(window == c)
+            if not lo <= count <= up:
+                return False
+        length *= 2
+    return True
+
+
+class TestFeasibility:
+    @given(
+        n=st.integers(min_value=40, max_value=200),
+        stride=st.integers(min_value=1, max_value=3),
+        d=st.integers(min_value=0, max_value=6),
+        alpha=st.sampled_from([0.05, 0.1, 0.3]),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_feasible_matches_window_recount(self, n, stride, d, alpha, seed):
+        # integer-valued steps plus integer noise make ties with the
+        # segment median common
+        rng = np.random.default_rng(seed)
+        y = np.repeat(rng.integers(0, 3, n // 20 + 1), 20)[:n] + rng.integers(-2, 3, n)
+        prob = _Segmenter(y.astype(float), d=d, stride=stride, alpha=alpha)
+        for _ in range(20):
+            a, b = sorted(int(v) for v in rng.choice(n + 1, 2, replace=False))
+            assert prob.feasible(a, b) == recount_feasible(prob, a, b), (a, b)
+
+
 class TestEmpiricalFdr:
     def test_all_exact(self):
         assert empirical_fdr(3, [3, 3, 3]) == 0.0
