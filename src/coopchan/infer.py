@@ -3,9 +3,9 @@
 The estimator minimizes the squared Frobenius distance between the model's
 sum-process transition matrix and the empirical transition frequencies over
 the parameter box [0,1]^(2L).  Because row i of the model matrix depends only
-on (lam_i, eta_i), the objective separates across rows; the full product-grid
-initialization is therefore computed exactly, row by row, and never needs to
-enumerate the 9^(2L) grid.
+on (lam_i, eta_i), the objective separates across rows: both the full
+product-grid initialization and the fit itself are computed exactly, row by
+row, as L+1 two-parameter problems, and the 9^(2L) grid is never enumerated.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.optimize
 
 from .core import DiscreteTrace
 from .model import (
@@ -43,19 +42,11 @@ class MdeOptions:
     """Solver configuration for the minimum distance fit."""
 
     grid: tuple = DEFAULT_GRID
-    max_iters: int = 10_000
-    objective_tol: float = 1e-12
-    barrier_mu0: float = 1e-3
-    barrier_decay: float = 1e-2
-    barrier_mu_min: float = 1e-11
-    fd_step: float = 1e-7
     identifiability_branch: str = "auto"  # auto | plus | minus
 
     def __post_init__(self):
         if len(self.grid) == 0:
             raise ValueError("grid must be nonempty")
-        if self.objective_tol <= 0 or self.max_iters <= 0:
-            raise ValueError("tolerances and iteration limits must be positive")
         if self.identifiability_branch not in ("auto", "plus", "minus"):
             raise ValueError("identifiability_branch must be auto, plus or minus")
 
@@ -158,246 +149,118 @@ def grid_init(q_hat: TransitionMatrix, L: int, grid=DEFAULT_GRID) -> ParamVector
     return ParamVector(L, lam, eta)
 
 
-def _row_residual(L, i, lam_i, eta_i, target) -> float:
-    diff = transition_row(L, i, lam_i, eta_i) - target
-    return float(diff @ diff)
+_OFFSETS = np.linspace(-1.0, 1.0, 11)
+_N_STARTS = 6
+# where a log barrier on (0, 1)^2 and on the branch gap puts a middle row
+# that no data constrains: lam = eta = (5 +- sqrt 5) / 10
+_BRANCH_CENTRE = {1.0: (5.0 + np.sqrt(5.0)) / 10.0, -1.0: (5.0 - np.sqrt(5.0)) / 10.0}
 
 
-def _data_gradient(x: np.ndarray, L: int, q_hat: TransitionMatrix, h: float) -> np.ndarray:
-    """Central-difference gradient of the fit objective.  Coordinate k only
-    enters one row of the model matrix, so each partial derivative needs two
-    single-row evaluations."""
-    mask = q_hat.row_mask()
-    grad = np.zeros_like(x)
-    for k in range(len(x)):
-        i = k if k < L else k - L + 1  # row touched by lam_k / eta_{k-L+1}
-        if not mask[i]:
-            continue
-        target = q_hat.entries[i]
-        step = h * max(1.0, abs(x[k]))
-        xp, xm = x[k] + step, x[k] - step
-        if k < L:
-            eta_i = x[L + i - 1] if i >= 1 else 0.0
-            fp = _row_residual(L, i, xp, eta_i, target)
-            fm = _row_residual(L, i, xm, eta_i, target)
-        else:
-            lam_i = x[i] if i < L else 0.0
-            fp = _row_residual(L, i, lam_i, xp, target)
-            fm = _row_residual(L, i, lam_i, xm, target)
-        grad[k] = (fp - fm) / (2 * step)
-    return grad
+def _grid_residuals(L: int, i: int, target: np.ndarray, lam_c, eta_c,
+                    branch_sign: float | None) -> np.ndarray:
+    """Residual of row i at paired candidates; candidates off the branch
+    ``branch_sign * (lam + eta - 1) >= 0`` score infinity."""
+    rows = transition_rows_grid(L, i, lam_c, eta_c)
+    vals = ((rows - target[None, :]) ** 2).sum(axis=1)
+    if branch_sign is not None:
+        vals = np.where(branch_sign * (lam_c - 1.0 + eta_c) >= 0, vals, np.inf)
+    return vals
 
 
-def _coordinate_polish(fun, x, lo, hi, tol, budget):
-    """Descent polish: per-coordinate moves with step halving until no move
-    at the finest step improves the objective.  Sweeps that improve the
-    objective by less than a millionth of its value stop early; the polish
-    only needs to clean up the terminal digits."""
-    x = x.copy()
-    fx = fun(x)
-    evals = 0
-    step = 1e-3
-    while step > 1e-10 and evals < budget:
-        improved = False
-        f_before = fx
-        for i in range(len(x)):
-            for sign in (1.0, -1.0):
-                xi = x[i] + sign * step
-                if not lo[i] < xi < hi[i]:
-                    continue
-                trial = x.copy()
-                trial[i] = xi
-                ft = fun(trial)
-                evals += 1
-                if ft < fx - 1e-18:
-                    x, fx = trial, ft
-                    improved = True
-        if not improved:
-            step *= 0.5
-        elif fx < tol or f_before - fx < 1e-6 * max(fx, 1e-300):
-            step *= 0.5
-    return x, fx
+def _shrink(L: int, i: int, target: np.ndarray, lam: np.ndarray, eta: np.ndarray,
+            best: np.ndarray, branch_sign: float | None):
+    """Local 11 x 11 grid search around each start, moving to the best
+    candidate while it improves and shrinking the grid five-fold when it does
+    not, until the width is at most 1e-7.
 
-
-def _branch_gap(x: np.ndarray, L: int, sign: float) -> float:
-    half = L // 2
-    return sign * (x[half] - 1.0 + x[L + half - 1])
-
-
-def _refine_rows(x0: np.ndarray, L: int, q_hat: TransitionMatrix,
-                 branch_sign: float | None) -> np.ndarray:
-    """Shrinking per-row grid refinement.
-
-    The objective separates across rows (lam_i and eta_i only enter row i),
-    so the global minimum decomposes into L+1 independent two-parameter
-    problems; a shrinking local grid per row is immune to the local minima a
-    joint descent can fall into.  The branch constraint only affects the
-    middle row, whose candidates are filtered accordingly.
+    The starts run in lock-step, one residual evaluation per step for every
+    start still shrinking, but each keeps its own width and best; the result
+    is that of polishing them one after another.  A clipped candidate that
+    repeats another scores the same and comes later in the lam-major order,
+    so it never wins the first-occurrence arg-min.
     """
-    x = x0.copy()
-    mask = q_hat.row_mask()
-    half = L // 2 if L % 2 == 0 else -1
-    offsets = np.linspace(-1.0, 1.0, 11)
-    n_fine = 61 if L <= 8 else 41
-    fine = np.linspace(0.008, 0.992, n_fine)
-
-    def residuals(i, target, lam_c, eta_c):
-        rows = transition_rows_grid(L, i, lam_c, eta_c)
-        vals = ((rows - target[None, :]) ** 2).sum(axis=1)
-        if branch_sign is not None and i == half:
-            vals = np.where(branch_sign * (lam_c - 1.0 + eta_c) >= 0, vals, np.inf)
-        return vals
-
-    def shrink(i, target, lam_i, eta_i, has_lam, has_eta, best):
-        width = 0.05
-        while width > 1e-7:
-            lam_c = np.clip(lam_i + width * offsets, 1e-9, 1 - 1e-9) if has_lam \
-                else np.full(len(offsets), lam_i)
-            eta_c = np.clip(eta_i + width * offsets, 1e-9, 1 - 1e-9) if has_eta \
-                else np.full(len(offsets), eta_i)
-            ll, ee = np.meshgrid(np.unique(lam_c), np.unique(eta_c), indexing="ij")
-            vals = residuals(i, target, ll.ravel(), ee.ravel())
-            k = int(np.argmin(vals))
-            if vals[k] < best - 1e-20:
-                best = float(vals[k])
-                lam_i, eta_i = float(ll.ravel()[k]), float(ee.ravel()[k])
-            else:
-                width *= 0.2
-        return best, lam_i, eta_i
-
-    for i in range(L + 1):
-        if not mask[i]:
-            continue
-        has_lam = i < L
-        has_eta = i >= 1
-        target = q_hat.entries[i]
-        lam_i = x[i] if has_lam else 0.0
-        eta_i = x[L + i - 1] if has_eta else 0.0
-        start_val = float(residuals(i, target, np.array([lam_i]), np.array([eta_i]))[0])
-        # full 2-D scan first: the row residual can be multimodal and a
-        # coarse initialization may sit in the wrong basin
-        ll, ee = np.meshgrid(fine if has_lam else [lam_i],
-                             fine if has_eta else [eta_i], indexing="ij")
-        ll, ee = ll.ravel(), ee.ravel()
-        vals = residuals(i, target, ll, ee)
-        order = np.argsort(vals, kind="stable")[:6]
-        # narrow basins can hide between scan points: polish several starts
-        best = (start_val if np.isfinite(start_val) else np.inf, lam_i, eta_i)
-        for k in order:
-            if not np.isfinite(vals[k]):
-                continue
-            cand = shrink(i, target, float(ll[k]), float(ee[k]), has_lam, has_eta,
-                          float(vals[k]))
-            if cand[0] < best[0]:
-                best = cand
-        _, lam_i, eta_i = best
-        if has_lam:
-            x[i] = lam_i
-        if has_eta:
-            x[L + i - 1] = eta_i
-    return x
+    lam, eta, best = lam.copy(), eta.copy(), best.copy()
+    width = np.full(len(lam), 0.05)
+    n_lam = len(_OFFSETS) if i < L else 1
+    n_eta = len(_OFFSETS) if i >= 1 else 1
+    active = np.arange(len(lam))
+    while active.size:
+        w = width[active, None]
+        lam_c = np.clip(lam[active, None] + w * _OFFSETS, 1e-9, 1 - 1e-9) if i < L \
+            else lam[active, None]
+        eta_c = np.clip(eta[active, None] + w * _OFFSETS, 1e-9, 1 - 1e-9) if i >= 1 \
+            else eta[active, None]
+        shape = (active.size, n_lam, n_eta)
+        ll = np.broadcast_to(lam_c[:, :, None], shape).reshape(active.size, -1)
+        ee = np.broadcast_to(eta_c[:, None, :], shape).reshape(active.size, -1)
+        vals = _grid_residuals(L, i, target, ll.ravel(), ee.ravel(),
+                               branch_sign).reshape(active.size, -1)
+        k = vals.argmin(axis=1)
+        pick = np.arange(active.size), k
+        moved = vals[pick] < best[active] - 1e-20
+        best[active[moved]] = vals[pick][moved]
+        lam[active[moved]] = ll[pick][moved]
+        eta[active[moved]] = ee[pick][moved]
+        width[active[~moved]] *= 0.2
+        active = active[width[active] > 1e-7]
+    return best, lam, eta, width
 
 
-def _fit_one_branch(objective, q_hat_ref, x0, L, options: MdeOptions, branch_sign: float | None):
-    """Log-barrier minimization over (0,1)^(2L), optionally restricted to one
-    identifiability branch for even L; returns the best iterate seen."""
-    eps = 1e-9
-    lo = np.full(len(x0), eps)
-    hi = np.full(len(x0), 1.0 - eps)
-    x = np.clip(x0, 1e-4, 1 - 1e-4)
-    if branch_sign is not None and _branch_gap(x, L, branch_sign) < 1e-6:
-        half = L // 2
-        # nudge onto the branch: raise whichever of lam/eta has headroom
-        need = 1e-4 + 1.0 - x[L + half - 1]
-        if branch_sign > 0:
-            if need < 1 - 1e-4:
-                x[half] = max(x[half], need)
-            else:
-                x[L + half - 1] = max(x[L + half - 1], 1e-4 + 1.0 - x[half])
-        else:
-            give = 1.0 - x[L + half - 1] - 1e-4
-            x[half] = min(x[half], max(give, 1e-4))
-            if _branch_gap(x, L, branch_sign) < 0:
-                x[L + half - 1] = min(x[L + half - 1], 1.0 - x[half] - 1e-4)
+def _solve_row(L: int, i: int, target: np.ndarray, lam_i: float, eta_i: float,
+               branch_sign: float | None = None) -> tuple[float, float, float]:
+    """Exact minimum of row i's residual over (lam_i, eta_i), starting from
+    the grid value; returns the parameters and the coarsest final width of
+    the local searches.
 
-    x = _refine_rows(x, L, q_hat_ref, branch_sign)
-    best_x = x.copy()
-    best_f = objective(x)
-    evals = 0
-    mu = options.barrier_mu0
-    while mu >= options.barrier_mu_min:
-        def penalized(z, _mu=mu):
-            if np.any(z <= 0.0) or np.any(z >= 1.0):
-                return 1e50
-            val = objective(z) - _mu * float(np.log(z).sum() + np.log1p(-z).sum())
-            if branch_sign is not None:
-                gap = _branch_gap(z, L, branch_sign)
-                if gap <= 0:
-                    return 1e50
-                val -= _mu * np.log(gap)
-            return val
-
-        def penalized_grad(z, _mu=mu):
-            grad = _data_gradient(z, L, q_hat_ref, options.fd_step)
-            grad -= _mu * (1.0 / z - 1.0 / (1.0 - z))
-            if branch_sign is not None:
-                gap = _branch_gap(z, L, branch_sign)
-                if gap > 0:
-                    half = L // 2
-                    grad[half] -= _mu * branch_sign / gap
-                    grad[L + half - 1] -= _mu * branch_sign / gap
-            return grad
-
-        res = scipy.optimize.minimize(
-            penalized,
-            x,
-            method="L-BFGS-B",
-            jac=penalized_grad,
-            bounds=list(zip(lo, hi)),
-            options={"maxiter": 200, "ftol": 1e-16, "gtol": 1e-12},
-        )
-        evals += res.nfev * 3
-        x = np.clip(res.x, lo, hi)
-        fx = objective(x)
-        if fx < best_f:
-            best_f, best_x = fx, x.copy()
-        if best_f < options.objective_tol or evals > options.max_iters * len(x0):
-            break
-        mu *= options.barrier_decay
-
-    def boxed(z):
-        if branch_sign is not None and _branch_gap(z, L, branch_sign) < 0:
-            return np.inf
-        return objective(z)
-
-    x, fx = _coordinate_polish(boxed, best_x, lo, hi, options.objective_tol,
-                               budget=options.max_iters)
-    if fx < best_f:
-        best_f, best_x = fx, x
-    converged = best_f < options.objective_tol or evals <= options.max_iters * len(x0)
-    return best_x, best_f, converged
+    A full 2-D scan comes first, because the row residual can be multimodal
+    and a coarse start may sit in the wrong basin; its six best points are
+    then polished, since narrow basins can hide between scan points.  The
+    start itself stays a candidate.  ``branch_sign`` restricts the middle
+    row of an even L to one identifiability branch.
+    """
+    fine = np.linspace(0.008, 0.992, 61 if L <= 8 else 41)
+    start_val = float(_grid_residuals(L, i, target, np.array([lam_i]), np.array([eta_i]),
+                                      branch_sign)[0])
+    ll, ee = np.meshgrid(fine if i < L else [lam_i], fine if i >= 1 else [eta_i],
+                         indexing="ij")
+    ll, ee = ll.ravel(), ee.ravel()
+    vals = _grid_residuals(L, i, target, ll, ee, branch_sign)
+    order = np.argsort(vals, kind="stable")[:_N_STARTS]
+    order = order[np.isfinite(vals[order])]
+    best, lam, eta, width = _shrink(L, i, target, ll[order], ee[order], vals[order],
+                                    branch_sign)
+    # strict improvement over the start and over earlier starts wins
+    k = int(np.argmin(np.concatenate([[start_val], best])))
+    if k > 0:
+        lam_i, eta_i = float(lam[k - 1]), float(eta[k - 1])
+    return lam_i, eta_i, float(width.max(initial=0.0))
 
 
 def mde_fit(q_hat: TransitionMatrix, L: int, options: MdeOptions | None = None) -> MdeResult:
     """Minimum distance estimate of the parameter vector from empirical
     transition frequencies.
 
-    Even L is solved once per identifiability branch (lam_{L/2} >= 1 -
-    eta_{L/2} and the reverse) unless a branch is forced; the lower objective
-    wins, with both recorded in the diagnostics.  The returned objective
-    never exceeds the grid initialization's.
+    The grid initialization is followed by an exact solve of each visited
+    row.  For even L the middle row is solved once per identifiability
+    branch (lam_{L/2} >= 1 - eta_{L/2} and the reverse) unless a branch is
+    forced; the other rows do not depend on the branch.  The lower objective
+    wins, ties resolve to plus, and both are recorded in the diagnostics.
+    The returned objective never exceeds the grid initialization's.  A
+    masked middle row takes the chosen branch's centre, lam = eta =
+    (5 +- sqrt 5) / 10; other masked rows keep their grid value.
+
+    Diagnostics carry ``row_residuals`` (each row's share of the objective,
+    0 for masked rows) and ``search_width`` (the final width of each row's
+    local search, 0 for masked rows).
     """
     options = options or MdeOptions()
     if q_hat.dim != L + 1:
         raise DimMismatch(f"matrix dim {q_hat.dim} does not match L = {L}")
     mask = q_hat.row_mask()
-    theta0 = grid_init(q_hat, L, options.grid)
-    x0 = theta0.flat
+    x0 = grid_init(q_hat, L, options.grid).flat
+    half = L // 2 if L % 2 == 0 else None
 
-    def objective(z):
-        return float(_row_residuals(ParamVector.from_flat(z, L), q_hat).sum())
-
-    if L % 2 == 1:
+    if half is None:
         branches = [None]
     elif options.identifiability_branch == "plus":
         branches = [1.0]
@@ -406,40 +269,64 @@ def mde_fit(q_hat: TransitionMatrix, L: int, options: MdeOptions | None = None) 
     else:
         branches = [1.0, -1.0]
 
+    def solve_into(x, widths, i, sign=None):
+        lam_i = x0[i] if i < L else 0.0
+        eta_i = x0[L + i - 1] if i >= 1 else 0.0
+        lam_i, eta_i, widths[i] = _solve_row(L, i, q_hat.entries[i], lam_i, eta_i, sign)
+        if i < L:
+            x[i] = lam_i
+        if i >= 1:
+            x[L + i - 1] = eta_i
+
+    def objective(z):
+        return float(_row_residuals(ParamVector.from_flat(z, L), q_hat).sum())
+
+    x_shared, w_shared = x0.copy(), np.zeros(L + 1)
+    for i in np.flatnonzero(mask):
+        if i != half:
+            solve_into(x_shared, w_shared, int(i))
     solutions = {}
     for sign in branches:
-        solutions[sign] = _fit_one_branch(objective, q_hat, x0, L, options, sign)
+        x, widths = x_shared.copy(), w_shared.copy()
+        if half is not None and mask[half]:
+            solve_into(x, widths, half, sign)
+        solutions[sign] = (x, widths, objective(x))
     if len(solutions) == 2:
-        f_plus, f_minus = solutions[1.0][1], solutions[-1.0][1]
+        f_plus, f_minus = solutions[1.0][2], solutions[-1.0][2]
         # the two branches are observationally equivalent mirrors, so exact
         # input ties them to numerical noise; ties resolve to plus
         if abs(f_plus - f_minus) <= max(1e-12, 1e-9 * (1.0 + min(f_plus, f_minus))):
             key = 1.0
         else:
-            key = min(solutions, key=lambda s: solutions[s][1])
+            key = min(solutions, key=lambda s: solutions[s][2])
     else:
-        key = next(iter(solutions))
-    x_best, f_best, converged = solutions[key]
+        key = branches[0]
+    x_best, widths, f_best = solutions[key]
 
     f0 = objective(x0)
     if f0 < f_best:
-        x_best, f_best = x0, f0
+        x_best = x0.copy()
+    if half is not None and not mask[half]:
+        x_best[half] = x_best[L + half - 1] = _BRANCH_CENTRE[key]
 
+    theta_hat = ParamVector.from_flat(x_best, L)
+    validate_theta(theta_hat)
+    residuals = _row_residuals(theta_hat, q_hat)
     diagnostics = {
         "grid_objective": f0,
         "masked_rows": [int(i) for i in np.nonzero(~mask)[0]],
         "degenerate": bool(mask.sum() <= 1),
-        "converged": bool(converged),
         "branch": {None: "none", 1.0: "plus", -1.0: "minus"}[key],
+        "row_residuals": [float(r) for r in residuals],
+        "search_width": [float(w) for w in widths],
     }
-    if L % 2 == 0 and len(branches) == 2:
+    if len(solutions) == 2:
         diagnostics["branch_objectives"] = {
-            "plus": float(solutions[1.0][1]),
-            "minus": float(solutions[-1.0][1]),
+            "plus": float(solutions[1.0][2]),
+            "minus": float(solutions[-1.0][2]),
         }
-    theta_hat = ParamVector.from_flat(np.asarray(x_best, dtype=float), L)
-    validate_theta(theta_hat)
-    return MdeResult(theta_hat=theta_hat, objective=float(f_best), diagnostics=diagnostics)
+    return MdeResult(theta_hat=theta_hat, objective=float(residuals.sum()),
+                     diagnostics=diagnostics)
 
 
 def cooperativity_report(theta_hat: ParamVector, tol: float = 1e-3) -> CooperativityReport:

@@ -76,10 +76,8 @@ def write_recording(recording: Recording, path) -> None:
     """CSV with a `time,current` header plus a .meta.json sidecar holding the
     sampling rate, kernel, noise spec and simulation truth."""
     path = Path(path)
-    times = recording.times()
-    lines = ["time,current"]
-    lines += [f"{t:.9f},{_f(v)}" for t, v in zip(times, recording.samples)]
-    path.write_text("\n".join(lines) + "\n")
+    rows = map("{:.9f},{!r}".format, recording.times().tolist(), recording.samples.tolist())
+    path.write_text("time,current\n" + "\n".join(rows) + "\n")
     meta = {
         "sample_rate": float(recording.sample_rate),
         "kernel": kernel_to_dict(recording.kernel),

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from coopchan.core import DiscreteTrace, LevelLadder
 from coopchan.infer import (
@@ -18,11 +20,77 @@ from coopchan.model import (
     Verdict,
     simulate_vnd,
     sum_transition_matrix,
+    transition_rows_grid,
 )
 
 
 def ladder(L):
     return LevelLadder(L=L, offset=0.0, spacing=1.0)
+
+
+def reference_row_solve(L, i, target, lam_i, eta_i, branch_sign):
+    """The per-row solve with its six starts polished one after another,
+    each by a loop over np.unique'd candidate grids: the reference the
+    lock-step search must reproduce bit for bit."""
+    offsets = np.linspace(-1.0, 1.0, 11)
+    fine = np.linspace(0.008, 0.992, 61 if L <= 8 else 41)
+
+    def residuals(lam_c, eta_c):
+        rows = transition_rows_grid(L, i, lam_c, eta_c)
+        vals = ((rows - target[None, :]) ** 2).sum(axis=1)
+        if branch_sign is not None:
+            vals = np.where(branch_sign * (lam_c - 1.0 + eta_c) >= 0, vals, np.inf)
+        return vals
+
+    def shrink(lam_i, eta_i, best):
+        width = 0.05
+        while width > 1e-7:
+            lam_c = np.clip(lam_i + width * offsets, 1e-9, 1 - 1e-9) if i < L \
+                else np.full(len(offsets), lam_i)
+            eta_c = np.clip(eta_i + width * offsets, 1e-9, 1 - 1e-9) if i >= 1 \
+                else np.full(len(offsets), eta_i)
+            ll, ee = np.meshgrid(np.unique(lam_c), np.unique(eta_c), indexing="ij")
+            vals = residuals(ll.ravel(), ee.ravel())
+            k = int(np.argmin(vals))
+            if vals[k] < best - 1e-20:
+                best = float(vals[k])
+                lam_i, eta_i = float(ll.ravel()[k]), float(ee.ravel()[k])
+            else:
+                width *= 0.2
+        return best, lam_i, eta_i
+
+    start_val = float(residuals(np.array([lam_i]), np.array([eta_i]))[0])
+    ll, ee = np.meshgrid(fine if i < L else [lam_i], fine if i >= 1 else [eta_i],
+                         indexing="ij")
+    ll, ee = ll.ravel(), ee.ravel()
+    vals = residuals(ll, ee)
+    best = (start_val, lam_i, eta_i)
+    for k in np.argsort(vals, kind="stable")[:6]:
+        if np.isfinite(vals[k]):
+            cand = shrink(float(ll[k]), float(ee[k]), float(vals[k]))
+            if cand[0] < best[0]:
+                best = cand
+    return best[1], best[2]
+
+
+def reference_fit(q_hat, L, branch_sign):
+    """Grid start, then every visited row solved one start at a time."""
+    x = grid_init(q_hat, L).flat
+    for i in np.flatnonzero(q_hat.row_mask()):
+        sign = branch_sign if L % 2 == 0 and i == L // 2 else None
+        lam_i, eta_i = reference_row_solve(L, i, q_hat.entries[i],
+                                           x[i] if i < L else 0.0,
+                                           x[L + i - 1] if i >= 1 else 0.0, sign)
+        if i < L:
+            x[i] = lam_i
+        if i >= 1:
+            x[L + i - 1] = eta_i
+    return x
+
+
+def middle_row(theta):
+    half = theta.L // 2
+    return theta.lam[half], theta.eta[half - 1]
 
 
 class TestEmpiricalTransitionMatrix:
@@ -178,6 +246,105 @@ class TestMdeFit:
                       MdeOptions(identifiability_branch="minus"))
         lam_h, eta_h = res.theta_hat.lam[1], res.theta_hat.eta[0]
         assert lam_h - (1 - eta_h) <= 1e-9
+
+    @pytest.mark.parametrize("L", [1, 2, 3, 4])
+    def test_lockstep_matches_one_start_at_a_time(self, L):
+        # short traces of sticky channels, where rows are seen a few times
+        # and the search paths of the starts part in the last digits
+        rng = np.random.default_rng(40 + L)
+        for seed in range(6):
+            theta = ParamVector(L, rng.uniform(0.98, 0.999, L), rng.uniform(0.98, 0.999, L))
+            q_hat = empirical_transition_matrix(simulate_vnd(theta, 1200, seed=seed).sums, L=L)
+            for branch, sign in (("plus", 1.0), ("minus", -1.0)):
+                res = mde_fit(q_hat, L, MdeOptions(identifiability_branch=branch))
+                assert res.objective <= res.diagnostics["grid_objective"]
+                ref = reference_fit(q_hat, L, sign if L % 2 == 0 else None)
+                if L % 2 == 0 and not q_hat.row_mask()[L // 2]:
+                    half = L // 2
+                    ref[half] = ref[L + half - 1] = res.theta_hat.lam[half]
+                assert res.theta_hat.flat.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("L", [2, 4])
+    def test_branches_differ_only_in_middle_row(self, L):
+        rng = np.random.default_rng(L)
+        theta = ParamVector(L, rng.uniform(0.7, 0.99, L), rng.uniform(0.7, 0.99, L))
+        q_hat = empirical_transition_matrix(simulate_vnd(theta, 3000, seed=L).sums, L=L)
+        fits = {b: mde_fit(q_hat, L, MdeOptions(identifiability_branch=b))
+                for b in ("plus", "minus")}
+        half = L // 2
+        outside = np.ones(2 * L, dtype=bool)
+        outside[[half, L + half - 1]] = False
+        assert (fits["plus"].theta_hat.flat[outside].tobytes()
+                == fits["minus"].theta_hat.flat[outside].tobytes())
+        both = mde_fit(q_hat, L).diagnostics["branch_objectives"]
+        r_plus = fits["plus"].diagnostics["row_residuals"]
+        r_minus = fits["minus"].diagnostics["row_residuals"]
+        assert r_plus[:half] + r_plus[half + 1:] == r_minus[:half] + r_minus[half + 1:]
+        assert both["plus"] - both["minus"] == pytest.approx(r_plus[half] - r_minus[half],
+                                                             abs=1e-15)
+
+    def test_row_residuals_and_search_widths(self):
+        theta = ParamVector(3, [0.95, 0.9, 0.85], [0.8, 0.9, 0.97])
+        values = simulate_vnd(theta, 4000, seed=2).sums
+        values = np.minimum(values, 2)  # state 3 never visited: row 3 masked
+        q_hat = empirical_transition_matrix(values, L=3)
+        res = mde_fit(q_hat, 3)
+        residuals = res.diagnostics["row_residuals"]
+        widths = res.diagnostics["search_width"]
+        assert res.diagnostics["masked_rows"] == [3]
+        assert sum(residuals) == pytest.approx(res.objective, abs=1e-15)
+        assert residuals[3] == 0.0 and widths[3] == 0.0
+        assert all(0.0 < w <= 1e-7 for w in widths[:3])
+        for k in range(3):
+            # the objective of row k alone
+            only_k = np.full_like(q_hat.entries, np.nan)
+            only_k[k] = q_hat.entries[k]
+            counts = np.where(np.arange(4) == k, q_hat.row_counts, 0)
+            assert residuals[k] == mde_objective(res.theta_hat,
+                                                 TransitionMatrix(only_k, row_counts=counts))
+
+    @pytest.mark.parametrize("branch, centre", [("plus", (5 + np.sqrt(5)) / 10),
+                                                ("minus", (5 - np.sqrt(5)) / 10),
+                                                ("auto", (5 + np.sqrt(5)) / 10)])
+    def test_masked_middle_row_takes_branch_centre(self, branch, centre):
+        # the trace steps between 0 and 2 channels open and never visits 1
+        values = np.array([0, 0, 2, 2, 2, 0, 2, 0, 0, 0, 2, 2, 0] * 20)
+        res = mde_fit(empirical_transition_matrix(values, L=2), 2,
+                      MdeOptions(identifiability_branch=branch))
+        assert res.diagnostics["masked_rows"] == [1]
+        assert res.diagnostics["branch"] == ("minus" if branch == "minus" else "plus")
+        assert middle_row(res.theta_hat) == (centre, centre)
+
+    def test_other_masked_rows_keep_grid_value(self):
+        # L = 4 over states {0, 1, 3}: the middle row 2 takes the plus
+        # centre, row 4 keeps the grid start's eta = 0.1
+        values = np.array([0, 1, 1, 3, 3, 1, 0, 0, 3, 1] * 30)
+        q_hat = empirical_transition_matrix(values, L=4)
+        res = mde_fit(q_hat, 4)
+        assert res.diagnostics["masked_rows"] == [2, 4]
+        centre = (5 + np.sqrt(5)) / 10
+        assert middle_row(res.theta_hat) == (centre, centre)
+        assert res.theta_hat.eta[3] == grid_init(q_hat, 4).eta[3] == 0.1
+
+    @given(L=st.integers(min_value=1, max_value=4), data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_exact_input_recovery(self, L, data):
+        # parameters bounded away from the flat manifolds lam_i + eta_i = 1
+        # of the interior rows, where the row law stops pinning them down
+        unit = st.floats(min_value=0.05, max_value=0.95)
+        lam = np.array(data.draw(st.lists(unit, min_size=L, max_size=L)))
+        eta = np.array(data.draw(st.lists(unit, min_size=L, max_size=L)))
+        assume(L == 1 or np.abs(lam[1:] + eta[:-1] - 1.0).min() >= 0.1)
+        theta = ParamVector(L, lam, eta)
+        res = mde_fit(sum_transition_matrix(theta), L)
+        expected = theta.flat
+        if L % 2 == 0 and lam[L // 2] + eta[L // 2 - 1] < 1.0:
+            # the minus-branch truth has an observationally equivalent plus
+            # mirror, (lam, eta) -> (1 - eta, 1 - lam), which the tie selects
+            half = L // 2
+            expected[half], expected[L + half - 1] = 1.0 - eta[half - 1], 1.0 - lam[half]
+        assert res.objective < 1e-10
+        assert np.abs(res.theta_hat.flat - expected).max() < 1e-6
 
 
 class TestCooperativityReport:

@@ -5,13 +5,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 from click.testing import CliRunner
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from coopchan import io as cio
 from coopchan.cli import main
-from coopchan.core import DiscreteTrace, LevelLadder
-from coopchan.idealise import muscle_fit
+from coopchan.core import DiscreteTrace, LevelLadder, StepFunction
+from coopchan.idealise import Idealisation, muscle_fit
 from coopchan.model import ParamVector
 from coopchan.synth import NoiseSpec, Recording, make_kernel, synthesize_recording
 
@@ -55,6 +55,21 @@ class TestIORoundTrips:
         assert back.samples.tobytes() == rec.samples.tobytes()
         assert back.sample_rate == rec.sample_rate
 
+    def test_recording_rows_match_row_formatter(self, tmp_path):
+        # the writer's bytes equal the per-row f-string formatting of times
+        # at nine decimals and samples by repr, on awkward floats too
+        rng = np.random.default_rng(12)
+        samples = np.concatenate([
+            rng.normal(size=200), rng.standard_cauchy(100) * 1e6,
+            [0.0, -0.0, 5e-324, -2.2e-308, 1e-310, 1.0, -3.0, 2.0 ** 60, 1e22, 0.1, 1 / 3],
+        ])
+        rng.shuffle(samples)
+        rec = Recording(samples=samples, sample_rate=3.0, kernel=make_kernel("identity", 3.0))
+        path = tmp_path / "rec.csv"
+        cio.write_recording(rec, path)
+        rows = [f"{t:.9f},{repr(float(v))}" for t, v in zip(rec.times(), rec.samples)]
+        assert path.read_text() == "\n".join(["time,current"] + rows) + "\n"
+
     def test_csv_layout_rules(self, tmp_path):
         # leading blank lines and an optional header are skipped, further
         # columns are ignored
@@ -92,6 +107,51 @@ class TestIORoundTrips:
         np.testing.assert_allclose(back.fit.breaks, ideal.fit.breaks)
         np.testing.assert_array_equal(back.fit.levels, ideal.fit.levels)
         assert back.n_switches == ideal.n_switches
+
+    @given(gaps=st.lists(st.integers(min_value=1, max_value=500), min_size=1, max_size=30),
+           levels=st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                           min_size=30, max_size=30, unique=True),
+           rate=st.sampled_from([1.0, 250.0, 1e4, 2e4]),
+           alpha=st.floats(min_value=1e-3, max_value=0.5), feasible=st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_idealisation_round_trip_bit_for_bit(self, gaps, levels, rate, alpha, feasible):
+        # switches sit half-way between samples, as muscle_fit places them
+        ends = np.cumsum(gaps)
+        breaks = np.concatenate([[0.0], (ends[:-1] - 0.5) / rate, [ends[-1] / rate]])
+        levels = [lv for j, lv in enumerate(levels[:len(gaps)])
+                  if j == 0 or lv != levels[j - 1]]
+        assume(len(levels) == len(gaps))
+        ideal = Idealisation(fit=StepFunction(breaks, np.array(levels)), alpha=alpha,
+                             n_switches=len(gaps) - 1, feasible=feasible, sample_rate=rate)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "ideal.csv"
+            cio.write_idealisation(ideal, path)
+            back = cio.read_idealisation(path)
+        assert back.fit.breaks.tobytes() == ideal.fit.breaks.tobytes()
+        assert back.fit.levels.tobytes() == ideal.fit.levels.tobytes()
+        assert (back.alpha, back.n_switches, back.feasible, back.sample_rate) == \
+            (alpha, len(gaps) - 1, feasible, rate)
+
+    @given(L=st.integers(min_value=1, max_value=20), data=st.data(),
+           offset=st.floats(allow_nan=False, allow_infinity=False),
+           spacing=st.floats(min_value=1e-300, max_value=1e300),
+           sse=st.floats(min_value=0.0, max_value=1e300),
+           rate=st.floats(min_value=1e-3, max_value=1e6))
+    @settings(max_examples=60, deadline=None)
+    def test_discrete_round_trip_bit_for_bit(self, L, data, offset, spacing, sse, rate):
+        values = data.draw(st.lists(st.integers(min_value=0, max_value=L),
+                                    min_size=1, max_size=60))
+        trace = DiscreteTrace(values=np.array(values),
+                              ladder=LevelLadder(L=L, offset=offset, spacing=spacing, sse=sse))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "disc.csv"
+            cio.write_discrete(trace, rate, path)
+            back, back_rate = cio.read_discrete(path)
+        assert back.values.tobytes() == trace.values.tobytes()
+        assert back.ladder.L == L
+        assert (np.array([back.ladder.offset, back.ladder.spacing, back.ladder.sse]).tobytes()
+                == np.array([offset, spacing, sse]).tobytes())
+        assert back_rate == rate
 
     def test_discrete_round_trip(self, tmp_path):
         trace = DiscreteTrace(values=np.array([0, 1, 2, 1, 0]),
