@@ -6,7 +6,6 @@ from .diagnostics import DwellFit, MarkovTestResult, dwell_times, markov_propert
 from .discretise import discretise_trace, equal_spacing_cluster, select_L
 from .idealise import Idealisation, SignBounds, empirical_fdr, muscle_fit
 from .infer import (
-    MdeOptions,
     MdeResult,
     cooperativity_report,
     empirical_transition_matrix,

@@ -1,13 +1,15 @@
 """Command-line front end.
 
-Exit codes: 0 success, 2 invalid configuration, 3 I/O failure, 4 stage
-failure (artifacts produced before the failure are kept).  Every command
-writes a resolved-config snapshot (run_config.json) next to its outputs, so
-reruns with the same snapshot are byte identical.
+Exit codes: 0 success, 2 invalid configuration or unreadable input, 3 I/O
+failure, 4 stage failure (artifacts produced before the failure are kept).
+Every command writes a resolved-config snapshot (run_config.json) into its
+output directory before it does any work, so reruns with the same snapshot
+are byte identical.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 import sys
 from pathlib import Path
@@ -18,34 +20,18 @@ import numpy as np
 from . import io as cio
 from . import plots
 from .diagnostics import NoVisits, dwell_times, markov_property_test
-from .discretise import discretise_trace, equal_spacing_cluster, select_L
 from .idealise import muscle_fit
-from .infer import MdeOptions, cooperativity_report, empirical_transition_matrix, mde_fit
+from .infer import cooperativity_report, empirical_transition_matrix, mde_fit
 from .model import ParamVector, validate_theta
-from .pipeline import level_histogram, run_pipeline
-from .studies import (
-    NOISE_SPECS,
-    channel_count_study,
-    classification_study,
-    fdr_study,
-    verdict_accuracy,
-)
+from .pipeline import discretise_idealisation, level_histogram, run_pipeline
+from .studies import STUDY_TABLES
 from .synth import NoiseSpec, make_kernel, synthesize_recording
 
 ENV_OUT_DIR = "COOPCHAN_OUT_DIR"
 
-STUDIES = ("fig-errors-zero", "fig-errors-pos", "fig-errors-neg",
-           "fig-L-hist", "fig-ratio-hist", "fdr-check")
-
 
 class InvalidConfig(click.UsageError):
     pass
-
-
-def _out_dir(out: str | None) -> Path:
-    path = Path(out or os.environ.get(ENV_OUT_DIR, "coopchan-out"))
-    path.mkdir(parents=True, exist_ok=True)
-    return path
 
 
 def _load_config(config_path: str | None) -> dict:
@@ -71,18 +57,19 @@ def _resolve(config: dict, flags: dict) -> dict:
     return resolved
 
 
-def _snapshot(out: Path, command: str, resolved: dict) -> None:
-    payload = {"command": command}
-    for k, v in resolved.items():
-        if isinstance(v, Path):
-            v = str(v)
-        payload[k] = v
-    cio.dump_json(payload, out / "run_config.json")
-
-
 def _fail(code: int, message: str):
     click.echo(f"error: {message}", err=True)
     sys.exit(code)
+
+
+def _read_input(reader, path, *args):
+    """A command's --input file: a missing file exits 3, a malformed one 2."""
+    try:
+        return reader(path, *args)
+    except FileNotFoundError as err:
+        _fail(3, str(err))
+    except (ValueError, KeyError) as err:
+        _fail(2, f"cannot read {path}: {err}")
 
 
 def _parse_theta(theta_str: str | None, channels: int | None) -> ParamVector:
@@ -108,9 +95,38 @@ def main():
     sum-conductance recordings."""
 
 
-@main.command()
-@click.option("--config", "config_path", type=click.Path(), default=None,
-              help="JSON config; explicit flags override it.")
+def _command(fn):
+    """Register ``fn(*arguments, resolved, out)`` as a subcommand with
+    --config and --out.  Flags override the config's values; the output
+    directory and its run_config.json snapshot are written first, under the
+    command's name followed by its arguments.  Failures exit 3 for I/O and
+    4 for a stage's ValueError; InvalidConfig is click's usage error, 2."""
+    name = fn.__name__.replace("_", "-")
+    arguments = [p.name for p in getattr(fn, "__click_params__", [])
+                 if isinstance(p, click.Argument)]
+
+    @main.command(name)
+    @click.option("--config", "config_path", type=click.Path(), default=None,
+                  help="JSON config; explicit flags override it.")
+    @click.option("--out", default=None, help="Output directory.")
+    @functools.wraps(fn)
+    def run(config_path, **flags):
+        args = [flags.pop(a) for a in arguments]
+        resolved = _resolve(_load_config(config_path), flags)
+        try:
+            out = Path(resolved.get("out") or os.environ.get(ENV_OUT_DIR, "coopchan-out"))
+            out.mkdir(parents=True, exist_ok=True)
+            snapshot = {"command": ":".join([name, *args]), **resolved, "out": str(out)}
+            cio.dump_json(snapshot, out / "run_config.json")
+            fn(*args, resolved, out)
+        except OSError as err:
+            _fail(3, str(err))
+        except ValueError as err:
+            _fail(4, str(err))
+    return run
+
+
+@_command
 @click.option("--theta", default=None, help="2L stay probabilities, comma separated.")
 @click.option("--channels", type=int, default=None, help="Channel count L (checked against --theta).")
 @click.option("--n", type=int, default=None, help="Number of samples (default 1200).")
@@ -128,16 +144,12 @@ def main():
 @click.option("--mixture-weight", type=float, default=None, help="Gaussian weight (default 0.85).")
 @click.option("--raw-noise", is_flag=True, default=None, help="Skip filtering the noise stream.")
 @click.option("--seed", type=int, default=None, help="RNG seed (default 0).")
-@click.option("--out", default=None, help="Output directory.")
-def simulate(config_path, **flags):
+def simulate(resolved, out):
     """Simulate a recording and write recording.csv plus metadata."""
-    resolved = _resolve(_load_config(config_path), flags)
     theta = _parse_theta(resolved.get("theta"), resolved.get("channels"))
     n = int(resolved.get("n", 1200))
     rate = float(resolved.get("rate", 10_000.0))
-    seed = int(resolved.get("seed", 0))
-    kernel_kind = resolved.get("kernel_kind", "bessel")
-    kernel = make_kernel(kernel_kind, rate,
+    kernel = make_kernel(resolved.get("kernel_kind", "bessel"), rate,
                          order=int(resolved.get("bessel_order") or 4),
                          cutoff=resolved.get("bessel_cutoff"))
     noise_kind = resolved.get("noise_kind", "gaussian")
@@ -151,124 +163,66 @@ def simulate(config_path, **flags):
             weight_gaussian=float(resolved.get("mixture_weight", 0.85)),
             filtered=not bool(resolved.get("raw_noise", False)),
         )
-    out = _out_dir(resolved.get("out"))
-    try:
-        rec = synthesize_recording(theta, n, rate,
-                                   offset=float(resolved.get("offset", 0.0)),
-                                   spacing=float(resolved.get("spacing", 1.0)),
-                                   kernel=kernel, noise=noise, seed=seed)
-    except ValueError as err:
-        _fail(4, f"simulation failed: {err}")
-    try:
-        cio.write_recording(rec, out / "recording.csv")
-        _snapshot(out, "simulate", {**resolved, "out": str(out)})
-    except OSError as err:
-        _fail(3, str(err))
+    rec = synthesize_recording(theta, n, rate,
+                               offset=float(resolved.get("offset", 0.0)),
+                               spacing=float(resolved.get("spacing", 1.0)),
+                               kernel=kernel, noise=noise, seed=int(resolved.get("seed", 0)))
+    cio.write_recording(rec, out / "recording.csv")
     click.echo(f"wrote {out / 'recording.csv'} ({n} samples)")
 
 
-def _read_recording_arg(path, rate):
-    try:
-        return cio.read_recording(path, sample_rate=rate)
-    except FileNotFoundError as err:
-        _fail(3, str(err))
-    except ValueError as err:
-        _fail(2, f"cannot read recording: {err}")
+def _plot_idealisation(path, rec, ideal, title: str) -> None:
+    times = rec.times()
+    plots.svg_lines(path, times, [rec.samples, ideal.fit.sample(times)], title=title)
 
 
-@main.command()
-@click.option("--config", "config_path", type=click.Path(), default=None)
+@_command
 @click.option("--input", "input_path", required=True, type=click.Path())
 @click.option("--alpha", type=float, default=None, help="Over-segmentation level (default 0.1).")
 @click.option("--rate", type=float, default=None, help="Sampling rate when no sidecar metadata exists.")
 @click.option("--plots", "want_plots", is_flag=True, default=None)
-@click.option("--out", default=None)
-def idealise(config_path, **flags):
+def idealise(resolved, out):
     """Fit a minimum-switch step function to a recording."""
-    resolved = _resolve(_load_config(config_path), flags)
-    out = _out_dir(resolved.get("out"))
-    rec = _read_recording_arg(resolved["input_path"], resolved.get("rate"))
+    rec = _read_input(cio.read_recording, resolved["input_path"], resolved.get("rate"))
     alpha = float(resolved.get("alpha", 0.1))
-    try:
-        ideal = muscle_fit(rec, alpha=alpha)
-        cio.write_idealisation(ideal, out / "idealisation.csv")
-        _snapshot(out, "idealise", {**resolved, "out": str(out)})
-        if resolved.get("want_plots"):
-            times = rec.times()
-            plots.svg_lines(out / "idealisation.svg", times,
-                            [rec.samples, ideal.fit.sample(times)],
-                            title=f"idealisation (alpha={alpha}, switches={ideal.n_switches})")
-    except OSError as err:
-        _fail(3, str(err))
-    except ValueError as err:
-        _fail(4, str(err))
+    ideal = muscle_fit(rec, alpha=alpha)
+    cio.write_idealisation(ideal, out / "idealisation.csv")
+    if resolved.get("want_plots"):
+        _plot_idealisation(out / "idealisation.svg", rec, ideal,
+                           f"idealisation (alpha={alpha}, switches={ideal.n_switches})")
     click.echo(f"switches: {ideal.n_switches} feasible: {ideal.feasible}")
 
 
-@main.command()
-@click.option("--config", "config_path", type=click.Path(), default=None)
+@_command
 @click.option("--input", "input_path", required=True, type=click.Path(),
               help="idealisation.csv from the idealise command.")
 @click.option("--L", "channels", type=int, default=None, help="Skip channel-count selection.")
 @click.option("--max-L", "max_l", type=int, default=None, help="Cap for selected L (default 20).")
 @click.option("--gap-factor", type=float, default=None, help="Gap splitting factor (default 3).")
-@click.option("--out", default=None)
-def discretise(config_path, **flags):
+def discretise(resolved, out):
     """Map idealised levels to open-channel counts."""
-    resolved = _resolve(_load_config(config_path), flags)
-    out = _out_dir(resolved.get("out"))
-    try:
-        ideal = cio.read_idealisation(resolved["input_path"])
-    except FileNotFoundError as err:
-        _fail(3, str(err))
-    except (ValueError, KeyError) as err:
-        _fail(2, f"cannot read idealisation: {err}")
-    levels, durations = ideal.fit.levels, ideal.fit.durations()
-    try:
-        L = resolved.get("channels") or select_L(
-            levels, durations, max_L=int(resolved.get("max_l", 20)),
-            gap_factor=float(resolved.get("gap_factor", 3.0)))
-        ladder = equal_spacing_cluster(levels, durations, L=L)
-        trace = discretise_trace(ideal, ladder, ideal.sample_rate)
-        cio.write_discrete(trace, ideal.sample_rate, out / "discrete.csv")
-        _snapshot(out, "discretise", {**resolved, "out": str(out)})
-    except OSError as err:
-        _fail(3, str(err))
-    except ValueError as err:
-        _fail(4, str(err))
-    click.echo(f"L: {L} offset: {ladder.offset:.6g} spacing: {ladder.spacing:.6g}")
+    ideal = _read_input(cio.read_idealisation, resolved["input_path"])
+    trace = discretise_idealisation(ideal, resolved.get("channels"),
+                                    max_L=int(resolved.get("max_l", 20)),
+                                    gap_factor=float(resolved.get("gap_factor", 3.0)))
+    cio.write_discrete(trace, ideal.sample_rate, out / "discrete.csv")
+    ladder = trace.ladder
+    click.echo(f"L: {ladder.L} offset: {ladder.offset:.6g} spacing: {ladder.spacing:.6g}")
 
 
-@main.command()
-@click.option("--config", "config_path", type=click.Path(), default=None)
+@_command
 @click.option("--input", "input_path", required=True, type=click.Path(),
               help="discrete.csv from the discretise command.")
 @click.option("--tolerance", type=float, default=None, help="Verdict ratio tolerance (default 1e-3).")
 @click.option("--branch", type=click.Choice(["auto", "plus", "minus"]), default=None)
-@click.option("--out", default=None)
-def infer(config_path, **flags):
+def infer(resolved, out):
     """Fit the coupled-chain parameters and classify cooperativity."""
-    resolved = _resolve(_load_config(config_path), flags)
-    out = _out_dir(resolved.get("out"))
-    try:
-        trace, rate = cio.read_discrete(resolved["input_path"])
-    except FileNotFoundError as err:
-        _fail(3, str(err))
-    except (ValueError, KeyError) as err:
-        _fail(2, f"cannot read discrete trace: {err}")
-    try:
-        options = MdeOptions(identifiability_branch=resolved.get("branch", "auto"))
-        q_hat = empirical_transition_matrix(trace)
-        fit = mde_fit(q_hat, trace.ladder.L, options)
-        report = cooperativity_report(fit.theta_hat,
-                                      tol=float(resolved.get("tolerance", 1e-3)))
-        cio.dump_json(cio.report_to_dict(report, fit.diagnostics, fit.objective),
-                      out / "report.json")
-        _snapshot(out, "infer", {**resolved, "out": str(out)})
-    except OSError as err:
-        _fail(3, str(err))
-    except ValueError as err:
-        _fail(4, str(err))
+    trace, _ = _read_input(cio.read_discrete, resolved["input_path"])
+    fit = mde_fit(empirical_transition_matrix(trace), trace.ladder.L,
+                  branch=resolved.get("branch", "auto"))
+    report = cooperativity_report(fit.theta_hat, tol=float(resolved.get("tolerance", 1e-3)))
+    cio.dump_json(cio.report_to_dict(report, fit.diagnostics, fit.objective),
+                  out / "report.json")
     click.echo(f"verdict: {report.verdict.value} objective: {fit.objective:.3e}")
 
 
@@ -302,17 +256,14 @@ def _pipeline_once(rec, resolved, out: Path, L_override, suffix=""):
                                     "alpha": alpha, "feasible": result.idealisation.feasible}),
         out / f"report{suffix}.json")
     if resolved.get("want_plots"):
-        times = rec.times()
-        plots.svg_lines(out / f"trace{suffix}.svg", times,
-                        [rec.samples, result.idealisation.fit.sample(times)],
-                        title="recording and idealisation")
+        _plot_idealisation(out / f"trace{suffix}.svg", rec, result.idealisation,
+                           "recording and idealisation")
         plots.svg_hist(out / f"levels{suffix}.svg", edges, counts,
                        title="idealised conductance levels")
     return result
 
 
-@main.command()
-@click.option("--config", "config_path", type=click.Path(), default=None)
+@_command
 @click.option("--input", "input_path", required=True, type=click.Path())
 @click.option("--alpha", type=float, default=None)
 @click.option("--L", "channels", type=int, default=None, help="Skip channel-count selection.")
@@ -323,188 +274,84 @@ def _pipeline_once(rec, resolved, out: Path, L_override, suffix=""):
 @click.option("--tolerance", type=float, default=None)
 @click.option("--rate", type=float, default=None)
 @click.option("--plots", "want_plots", is_flag=True, default=None)
-@click.option("--out", default=None)
-def pipeline(config_path, **flags):
+def pipeline(resolved, out):
     """Full analysis: idealise, discretise, infer, report."""
-    resolved = _resolve(_load_config(config_path), flags)
-    out = _out_dir(resolved.get("out"))
-    rec = _read_recording_arg(resolved["input_path"], resolved.get("rate"))
+    rec = _read_input(cio.read_recording, resolved["input_path"], resolved.get("rate"))
     sweep = resolved.get("l_sweep")
-    try:
-        _snapshot(out, "pipeline", {**resolved, "out": str(out)})
-        if sweep:
-            try:
-                lo, hi = (int(v) for v in str(sweep).split(":"))
-            except ValueError as err:
-                raise InvalidConfig(f"cannot parse --L-sweep {sweep!r}") from err
-            for L in range(lo, hi + 1):
-                result = _pipeline_once(rec, resolved, out, L, suffix=f"_L{L}")
-                click.echo(f"L={L}: verdict {result.report.verdict.value}")
-        else:
-            result = _pipeline_once(rec, resolved, out, resolved.get("channels"))
-            click.echo(f"selected L: {result.selected_L} "
-                       f"verdict: {result.report.verdict.value} "
-                       f"switches: {result.idealisation.n_switches}")
-    except OSError as err:
-        _fail(3, str(err))
-    except InvalidConfig:
-        raise
-    except ValueError as err:
-        _fail(4, str(err))
+    if sweep:
+        try:
+            lo, hi = (int(v) for v in str(sweep).split(":"))
+        except ValueError as err:
+            raise InvalidConfig(f"cannot parse --L-sweep {sweep!r}") from err
+        for L in range(lo, hi + 1):
+            result = _pipeline_once(rec, resolved, out, L, suffix=f"_L{L}")
+            click.echo(f"L={L}: verdict {result.report.verdict.value}")
+    else:
+        result = _pipeline_once(rec, resolved, out, resolved.get("channels"))
+        click.echo(f"selected L: {result.selected_L} "
+                   f"verdict: {result.report.verdict.value} "
+                   f"switches: {result.idealisation.n_switches}")
 
 
-@main.command("markov-test")
-@click.option("--config", "config_path", type=click.Path(), default=None)
+@_command
 @click.option("--input", "input_path", required=True, type=click.Path())
-@click.option("--out", default=None)
-def markov_test(config_path, **flags):
+def markov_test(resolved, out):
     """Chi-square test of the Markov property on a discrete trace."""
-    resolved = _resolve(_load_config(config_path), flags)
-    out = _out_dir(resolved.get("out"))
-    try:
-        trace, _ = cio.read_discrete(resolved["input_path"])
-    except FileNotFoundError as err:
-        _fail(3, str(err))
-    except (ValueError, KeyError) as err:
-        _fail(2, f"cannot read discrete trace: {err}")
-    try:
-        res = markov_property_test(trace)
-        cio.dump_json({
-            "statistic": res.statistic,
-            "dof": res.dof,
-            "p_value": res.p_value,
-            "contingency": {str(s): t.tolist() for s, t in res.contingency.items()},
-        }, out / "markov_test.json")
-        _snapshot(out, "markov-test", {**resolved, "out": str(out)})
-    except OSError as err:
-        _fail(3, str(err))
-    except ValueError as err:
-        _fail(4, str(err))
+    trace, _ = _read_input(cio.read_discrete, resolved["input_path"])
+    res = markov_property_test(trace)
+    cio.dump_json({
+        "statistic": res.statistic,
+        "dof": res.dof,
+        "p_value": res.p_value,
+        "contingency": {str(s): t.tolist() for s, t in res.contingency.items()},
+    }, out / "markov_test.json")
     click.echo(f"p_value: {res.p_value:.6g} (statistic {res.statistic:.4g}, dof {res.dof})")
 
 
-@main.command()
-@click.option("--config", "config_path", type=click.Path(), default=None)
+@_command
 @click.option("--input", "input_path", required=True, type=click.Path())
 @click.option("--state", type=int, default=None, help="Single state (default: all visited).")
 @click.option("--plots", "want_plots", is_flag=True, default=None)
-@click.option("--out", default=None)
-def dwell(config_path, **flags):
+def dwell(resolved, out):
     """Per-state dwell-time histograms with exponential fits."""
-    resolved = _resolve(_load_config(config_path), flags)
-    out = _out_dir(resolved.get("out"))
-    try:
-        trace, rate = cio.read_discrete(resolved["input_path"])
-    except FileNotFoundError as err:
-        _fail(3, str(err))
-    except (ValueError, KeyError) as err:
-        _fail(2, f"cannot read discrete trace: {err}")
+    trace, rate = _read_input(cio.read_discrete, resolved["input_path"])
     states = ([resolved["state"]] if resolved.get("state") is not None
               else sorted(np.unique(trace.values).tolist()))
     summary = {}
-    try:
-        for s in states:
-            try:
-                fit = dwell_times(trace, int(s), rate)
-            except NoVisits:
-                summary[str(s)] = {"rate": None, "n_dwells": 0, "note": "no interior dwells"}
-                continue
-            cio.write_histogram(fit.hist_edges[:-1], fit.hist_edges[1:], fit.hist_counts,
-                                out / f"dwell_state{s}.csv")
-            summary[str(s)] = {"rate": fit.rate, "n_dwells": len(fit.samples),
-                               "mean_dwell_s": float(fit.samples.mean())}
-            if resolved.get("want_plots"):
-                centers = 0.5 * (fit.hist_edges[:-1] + fit.hist_edges[1:])
-                width = fit.hist_edges[1] - fit.hist_edges[0]
-                overlay_y = len(fit.samples) * width * fit.rate * np.exp(-fit.rate * centers)
-                plots.svg_hist(out / f"dwell_state{s}.svg", fit.hist_edges, fit.hist_counts,
-                               title=f"dwell times, state {s} (rate {fit.rate:.4g}/s)",
-                               overlay=(centers, overlay_y))
-        cio.dump_json(summary, out / "dwell.json")
-        _snapshot(out, "dwell", {**resolved, "out": str(out)})
-    except OSError as err:
-        _fail(3, str(err))
-    except ValueError as err:
-        _fail(4, str(err))
+    for s in states:
+        try:
+            fit = dwell_times(trace, int(s), rate)
+        except NoVisits:
+            summary[str(s)] = {"rate": None, "n_dwells": 0, "note": "no interior dwells"}
+            continue
+        cio.write_histogram(fit.hist_edges[:-1], fit.hist_edges[1:], fit.hist_counts,
+                            out / f"dwell_state{s}.csv")
+        summary[str(s)] = {"rate": fit.rate, "n_dwells": len(fit.samples),
+                           "mean_dwell_s": float(fit.samples.mean())}
+        if resolved.get("want_plots"):
+            centers = 0.5 * (fit.hist_edges[:-1] + fit.hist_edges[1:])
+            width = fit.hist_edges[1] - fit.hist_edges[0]
+            overlay_y = len(fit.samples) * width * fit.rate * np.exp(-fit.rate * centers)
+            plots.svg_hist(out / f"dwell_state{s}.svg", fit.hist_edges, fit.hist_counts,
+                           title=f"dwell times, state {s} (rate {fit.rate:.4g}/s)",
+                           overlay=(centers, overlay_y))
+    cio.dump_json(summary, out / "dwell.json")
     click.echo(f"states analysed: {', '.join(summary)}")
 
 
-@main.command()
-@click.argument("study", type=click.Choice(STUDIES))
-@click.option("--config", "config_path", type=click.Path(), default=None)
+@_command
+@click.argument("study", type=click.Choice(list(STUDY_TABLES)))
 @click.option("--reps", type=int, default=None, help="Repetitions per cell (study-specific default).")
 @click.option("--seed", type=int, default=None, help="Base seed (default 0).")
 @click.option("--threads", type=int, default=None, help="Worker processes (default 1).")
-@click.option("--out", default=None)
-def reproduce(study, config_path, **flags):
+def reproduce(study, resolved, out):
     """Seeded Monte-Carlo studies; writes per-repetition CSV and a summary."""
-    resolved = _resolve(_load_config(config_path), flags)
-    out = _out_dir(resolved.get("out"))
-    base_seed = int(resolved.get("seed", 0))
-    threads = int(resolved.get("threads", 1))
-    try:
-        if study.startswith("fig-errors-"):
-            scenario = {"fig-errors-zero": "zero", "fig-errors-pos": "positive",
-                        "fig-errors-neg": "negative"}[study]
-            reps = int(resolved.get("reps", 100))
-            summary = {"study": study, "scenario": scenario, "reps": reps, "cells": {}}
-            lines = ["noise,rep,l2_error,verdict"]
-            for noise_kind in NOISE_SPECS:
-                results = classification_study(scenario, noise_kind, reps,
-                                               base_seed=base_seed, threads=threads)
-                for r in results:
-                    lines.append(f"{noise_kind},{r['rep']},{r['l2_error']!r},{r['verdict']}")
-                errs = [r["l2_error"] for r in results if r["l2_error"] is not None]
-                summary["cells"][noise_kind] = {
-                    "median_l2_error": float(np.median(errs)),
-                    "verdict_accuracy": verdict_accuracy(results, scenario),
-                }
-            (out / f"{study}.csv").write_text("\n".join(lines) + "\n")
-            cio.dump_json(summary, out / f"{study}.json")
-        elif study in ("fig-L-hist", "fig-ratio-hist"):
-            reps = int(resolved.get("reps", 300))
-            summary = {"study": study, "reps": reps, "scenarios": {}}
-            lines = (["scenario,rep,L_hat,verdict"] if study == "fig-L-hist"
-                     else ["scenario,rep,ratio"])
-            for scenario in ("zero", "positive", "negative"):
-                results = channel_count_study(scenario, reps, base_seed=base_seed,
-                                              threads=threads)
-                if study == "fig-L-hist":
-                    for r in results:
-                        lines.append(f"{scenario},{r['rep']},{r['L_hat']},{r['verdict']}")
-                    l_hats = [r["L_hat"] for r in results]
-                    summary["scenarios"][scenario] = {
-                        "median_L_hat": float(np.median(l_hats)),
-                        "underestimate_le_3": float(np.mean([20 - lh <= 3 for lh in l_hats])),
-                    }
-                else:
-                    pooled = []
-                    for r in results:
-                        for ratio in r["ratios"]:
-                            lines.append(f"{scenario},{r['rep']},{ratio!r}")
-                        pooled.extend(r["ratios"])
-                    summary["scenarios"][scenario] = {
-                        "median_ratio": float(np.median(pooled)),
-                        "n_ratios": len(pooled),
-                    }
-            (out / f"{study}.csv").write_text("\n".join(lines) + "\n")
-            cio.dump_json(summary, out / f"{study}.json")
-        else:  # fdr-check
-            reps = int(resolved.get("reps", 500))
-            summary = {"study": study, "reps": reps, "alphas": {}}
-            lines = ["alpha,rep,k_hat"]
-            for alpha in (0.05, 0.1):
-                res = fdr_study(alpha, reps, base_seed=base_seed, threads=threads)
-                for rep, k in enumerate(res["k_hats"]):
-                    lines.append(f"{alpha!r},{rep},{k}")
-                summary["alphas"][repr(alpha)] = {"empirical_fdr": res["empirical_fdr"]}
-            (out / f"{study}.csv").write_text("\n".join(lines) + "\n")
-            cio.dump_json(summary, out / f"{study}.json")
-        _snapshot(out, f"reproduce:{study}", {**resolved, "out": str(out)})
-    except OSError as err:
-        _fail(3, str(err))
-    except ValueError as err:
-        _fail(4, str(err))
+    table, default_reps = STUDY_TABLES[study]
+    lines, summary = table(study, int(resolved.get("reps", default_reps)),
+                           base_seed=int(resolved.get("seed", 0)),
+                           threads=int(resolved.get("threads", 1)))
+    (out / f"{study}.csv").write_text("\n".join(lines) + "\n")
+    cio.dump_json(summary, out / f"{study}.json")
     click.echo(f"study {study} complete; summary in {out / (study + '.json')}")
 
 

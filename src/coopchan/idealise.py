@@ -386,21 +386,14 @@ def _exclusion_samples(recording: Recording) -> int:
     return int(math.ceil(recording.kernel.support * recording.sample_rate - 1e-9))
 
 
-def muscle_fit(
-    recording: Recording,
-    alpha: float = 0.1,
-    *,
-    exact_threshold: int = 64,
-    refine: bool = True,
-    merge: bool = True,
-) -> Idealisation:
+def muscle_fit(recording: Recording, alpha: float = 0.1) -> Idealisation:
     """Minimum-switch step fit subject to per-segment sign-count constraints.
 
     Segments use the median of their tested samples as level.  Recordings up
-    to ``exact_threshold`` samples are segmented by an exact dynamic program
-    (lexicographic in switch count, then total window deviation); longer ones
-    by layered maximal extension with a merge pass and local boundary
-    refinement, which matches the exact answer except on adversarial inputs.
+    to 64 samples are segmented by an exact dynamic program (lexicographic
+    in switch count, then total window deviation); longer ones by layered
+    maximal extension with a merge pass and local boundary refinement,
+    which matches the exact answer except on adversarial inputs.
     """
     y = recording.samples
     prob = _Segmenter(
@@ -409,13 +402,11 @@ def muscle_fit(
         stride=recording.kernel.decimation_stride(),
         alpha=alpha,
     )
-    if prob.n <= exact_threshold:
+    if prob.n <= 64:
         segs = prob.exact_segments()
     else:
-        segs = prob.greedy_segments()
-        if merge:
-            segs = prob.merge_pass(segs)
-        if refine and len(segs) > 1:
+        segs = prob.merge_pass(prob.greedy_segments())
+        if len(segs) > 1:
             smallest = prob.scales[0].length if prob.scales else 8
             halfwidth = max(2 * prob.d, 2 * prob.stride * smallest, 16)
             for i in range(len(segs) - 1):

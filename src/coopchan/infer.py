@@ -37,20 +37,6 @@ class DimMismatch(ValueError):
 DEFAULT_GRID = tuple(np.round(np.arange(0.1, 0.95, 0.1), 10))
 
 
-@dataclass(frozen=True)
-class MdeOptions:
-    """Solver configuration for the minimum distance fit."""
-
-    grid: tuple = DEFAULT_GRID
-    identifiability_branch: str = "auto"  # auto | plus | minus
-
-    def __post_init__(self):
-        if len(self.grid) == 0:
-            raise ValueError("grid must be nonempty")
-        if self.identifiability_branch not in ("auto", "plus", "minus"):
-            raise ValueError("identifiability_branch must be auto, plus or minus")
-
-
 @dataclass
 class MdeResult:
     theta_hat: ParamVector
@@ -203,14 +189,13 @@ def _shrink(L: int, i: int, target: np.ndarray, lam: np.ndarray, eta: np.ndarray
         eta[active[moved]] = ee[pick][moved]
         width[active[~moved]] *= 0.2
         active = active[width[active] > 1e-7]
-    return best, lam, eta, width
+    return best, lam, eta
 
 
 def _solve_row(L: int, i: int, target: np.ndarray, lam_i: float, eta_i: float,
-               branch_sign: float | None = None) -> tuple[float, float, float]:
+               branch_sign: float | None = None) -> tuple[float, float]:
     """Exact minimum of row i's residual over (lam_i, eta_i), starting from
-    the grid value; returns the parameters and the coarsest final width of
-    the local searches.
+    the grid value.
 
     A full 2-D scan comes first, because the row residual can be multimodal
     and a coarse start may sit in the wrong basin; its six best points are
@@ -227,52 +212,50 @@ def _solve_row(L: int, i: int, target: np.ndarray, lam_i: float, eta_i: float,
     vals = _grid_residuals(L, i, target, ll, ee, branch_sign)
     order = np.argsort(vals, kind="stable")[:_N_STARTS]
     order = order[np.isfinite(vals[order])]
-    best, lam, eta, width = _shrink(L, i, target, ll[order], ee[order], vals[order],
-                                    branch_sign)
+    best, lam, eta = _shrink(L, i, target, ll[order], ee[order], vals[order],
+                             branch_sign)
     # strict improvement over the start and over earlier starts wins
     k = int(np.argmin(np.concatenate([[start_val], best])))
     if k > 0:
         lam_i, eta_i = float(lam[k - 1]), float(eta[k - 1])
-    return lam_i, eta_i, float(width.max(initial=0.0))
+    return lam_i, eta_i
 
 
-def mde_fit(q_hat: TransitionMatrix, L: int, options: MdeOptions | None = None) -> MdeResult:
+_BRANCH_SIGNS = {"auto": [1.0, -1.0], "plus": [1.0], "minus": [-1.0]}
+
+
+def mde_fit(q_hat: TransitionMatrix, L: int, branch: str = "auto") -> MdeResult:
     """Minimum distance estimate of the parameter vector from empirical
     transition frequencies.
 
     The grid initialization is followed by an exact solve of each visited
     row.  For even L the middle row is solved once per identifiability
-    branch (lam_{L/2} >= 1 - eta_{L/2} and the reverse) unless a branch is
-    forced; the other rows do not depend on the branch.  The lower objective
-    wins, ties resolve to plus, and both are recorded in the diagnostics.
-    The returned objective never exceeds the grid initialization's.  A
-    masked middle row takes the chosen branch's centre, lam = eta =
-    (5 +- sqrt 5) / 10; other masked rows keep their grid value.
+    branch (lam_{L/2} >= 1 - eta_{L/2} and the reverse) unless ``branch``
+    is "plus" or "minus"; the other rows do not depend on the branch.  The
+    lower objective wins, ties resolve to plus, and both are recorded in the
+    diagnostics.  The grid start replaces a worse solution when it lies on
+    the chosen branch.  Its middle row lies on plus, where grid ties
+    resolve, and the plus solve starts from it; so on auto the returned
+    objective never exceeds the grid initialization's.  A masked middle row
+    takes the chosen branch's centre, lam = eta = (5 +- sqrt 5) / 10; other
+    masked rows keep their grid value.
 
-    Diagnostics carry ``row_residuals`` (each row's share of the objective,
-    0 for masked rows) and ``search_width`` (the final width of each row's
-    local search, 0 for masked rows).
+    Diagnostics carry ``row_residuals``, each row's share of the objective
+    (0 for masked rows).
     """
-    options = options or MdeOptions()
+    if branch not in _BRANCH_SIGNS:
+        raise ValueError("branch must be auto, plus or minus")
     if q_hat.dim != L + 1:
         raise DimMismatch(f"matrix dim {q_hat.dim} does not match L = {L}")
     mask = q_hat.row_mask()
-    x0 = grid_init(q_hat, L, options.grid).flat
+    x0 = grid_init(q_hat, L).flat
     half = L // 2 if L % 2 == 0 else None
+    branches = [None] if half is None else _BRANCH_SIGNS[branch]
 
-    if half is None:
-        branches = [None]
-    elif options.identifiability_branch == "plus":
-        branches = [1.0]
-    elif options.identifiability_branch == "minus":
-        branches = [-1.0]
-    else:
-        branches = [1.0, -1.0]
-
-    def solve_into(x, widths, i, sign=None):
+    def solve_into(x, i, sign=None):
         lam_i = x0[i] if i < L else 0.0
         eta_i = x0[L + i - 1] if i >= 1 else 0.0
-        lam_i, eta_i, widths[i] = _solve_row(L, i, q_hat.entries[i], lam_i, eta_i, sign)
+        lam_i, eta_i = _solve_row(L, i, q_hat.entries[i], lam_i, eta_i, sign)
         if i < L:
             x[i] = lam_i
         if i >= 1:
@@ -281,30 +264,33 @@ def mde_fit(q_hat: TransitionMatrix, L: int, options: MdeOptions | None = None) 
     def objective(z):
         return float(_row_residuals(ParamVector.from_flat(z, L), q_hat).sum())
 
-    x_shared, w_shared = x0.copy(), np.zeros(L + 1)
+    x_shared = x0.copy()
     for i in np.flatnonzero(mask):
         if i != half:
-            solve_into(x_shared, w_shared, int(i))
+            solve_into(x_shared, int(i))
     solutions = {}
     for sign in branches:
-        x, widths = x_shared.copy(), w_shared.copy()
+        x = x_shared.copy()
         if half is not None and mask[half]:
-            solve_into(x, widths, half, sign)
-        solutions[sign] = (x, widths, objective(x))
+            solve_into(x, half, sign)
+        solutions[sign] = (x, objective(x))
     if len(solutions) == 2:
-        f_plus, f_minus = solutions[1.0][2], solutions[-1.0][2]
+        f_plus, f_minus = solutions[1.0][1], solutions[-1.0][1]
         # the two branches are observationally equivalent mirrors, so exact
         # input ties them to numerical noise; ties resolve to plus
         if abs(f_plus - f_minus) <= max(1e-12, 1e-9 * (1.0 + min(f_plus, f_minus))):
             key = 1.0
         else:
-            key = min(solutions, key=lambda s: solutions[s][2])
+            key = min(solutions, key=lambda s: solutions[s][1])
     else:
         key = branches[0]
-    x_best, widths, f_best = solutions[key]
+    x_best, f_best = solutions[key]
 
     f0 = objective(x0)
-    if f0 < f_best:
+    # the grid start may replace the solution only on its own branch; a
+    # masked middle row lies on both
+    gap = x0[half] - 1.0 + x0[L + half - 1] if half is not None and mask[half] else 0.0
+    if f0 < f_best and (key is None or key * gap >= 0):
         x_best = x0.copy()
     if half is not None and not mask[half]:
         x_best[half] = x_best[L + half - 1] = _BRANCH_CENTRE[key]
@@ -318,12 +304,11 @@ def mde_fit(q_hat: TransitionMatrix, L: int, options: MdeOptions | None = None) 
         "degenerate": bool(mask.sum() <= 1),
         "branch": {None: "none", 1.0: "plus", -1.0: "minus"}[key],
         "row_residuals": [float(r) for r in residuals],
-        "search_width": [float(w) for w in widths],
     }
     if len(solutions) == 2:
         diagnostics["branch_objectives"] = {
-            "plus": float(solutions[1.0][2]),
-            "minus": float(solutions[-1.0][2]),
+            "plus": float(solutions[1.0][1]),
+            "minus": float(solutions[-1.0][1]),
         }
     return MdeResult(theta_hat=theta_hat, objective=float(residuals.sum()),
                      diagnostics=diagnostics)

@@ -9,7 +9,7 @@ import numpy as np
 from .core import DiscreteTrace, LevelLadder
 from .discretise import discretise_trace, equal_spacing_cluster, select_L
 from .idealise import Idealisation, muscle_fit
-from .infer import MdeOptions, MdeResult, cooperativity_report, empirical_transition_matrix, mde_fit
+from .infer import MdeResult, cooperativity_report, empirical_transition_matrix, mde_fit
 from .model import CooperativityReport, TransitionMatrix
 from .synth import Recording
 
@@ -50,6 +50,25 @@ def _truth_metrics(recording: Recording, ideal: Idealisation, trace: DiscreteTra
     return metrics
 
 
+def discretise_idealisation(ideal: Idealisation, L: int | None = None, max_L: int = 20,
+                            gap_factor: float = 3.0) -> DiscreteTrace:
+    """Open-channel counts of an idealisation: the levels are grouped into
+    L + 1 equally spaced rungs (L selected from the level gaps unless given)
+    and each sample maps to its nearest rung.  A single idealised level
+    cannot anchor a spacing; it becomes rung 0 of a ladder spaced at the
+    data scale."""
+    levels = ideal.fit.levels
+    durations = ideal.fit.durations()
+    if L is None:
+        L = select_L(levels, durations, max_L=max_L, gap_factor=gap_factor)
+    if len(np.unique(levels)) >= 2:
+        ladder = equal_spacing_cluster(levels, durations, L=int(L))
+    else:
+        scale = max(abs(float(levels[0])), 1.0)
+        ladder = LevelLadder(L=int(L), offset=float(levels[0]), spacing=scale)
+    return discretise_trace(ideal, ladder, ideal.sample_rate)
+
+
 def run_pipeline(
     recording: Recording,
     alpha: float = 0.1,
@@ -57,7 +76,6 @@ def run_pipeline(
     max_L: int = 20,
     gap_factor: float = 3.0,
     tolerance: float = 1e-3,
-    mde_options: MdeOptions | None = None,
     stage_hook=None,
 ) -> PipelineResult:
     """Idealise the recording, group levels into open-channel counts, and fit
@@ -69,28 +87,18 @@ def run_pipeline(
     hook = stage_hook or (lambda name, value: None)
     ideal = muscle_fit(recording, alpha=alpha)
     hook("idealise", ideal)
-    levels = ideal.fit.levels
-    durations = ideal.fit.durations()
-    selected_L = int(L) if L is not None else select_L(levels, durations,
-                                                       max_L=max_L, gap_factor=gap_factor)
-    if len(np.unique(levels)) >= 2:
-        ladder = equal_spacing_cluster(levels, durations, L=selected_L)
-    else:
-        # a single idealised level cannot anchor a spacing; default to the
-        # data scale so the trace sits on rung 0
-        scale = max(abs(float(levels[0])), 1.0)
-        ladder = LevelLadder(L=selected_L, offset=float(levels[0]), spacing=scale)
-    trace = discretise_trace(ideal, ladder, recording.sample_rate)
+    trace = discretise_idealisation(ideal, L, max_L=max_L, gap_factor=gap_factor)
     hook("discretise", trace)
+    selected_L = trace.ladder.L
     q_hat = empirical_transition_matrix(trace)
-    fit = mde_fit(q_hat, selected_L, mde_options)
+    fit = mde_fit(q_hat, selected_L)
     report = cooperativity_report(fit.theta_hat, tol=tolerance)
     metrics = {}
     if recording.truth is not None:
         metrics = _truth_metrics(recording, ideal, trace, fit)
     return PipelineResult(
         idealisation=ideal,
-        ladder=ladder,
+        ladder=trace.ladder,
         discrete=trace,
         q_hat=q_hat,
         fit=fit,

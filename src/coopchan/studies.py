@@ -179,3 +179,79 @@ def consistency_study(theta: ParamVector, lengths, reps: int, base_seed: int = 0
 def verdict_accuracy(results: list[dict], truth: str) -> float:
     good = sum(r["verdict"] == truth for r in results)
     return good / len(results) if results else float("nan")
+
+
+# -- tables of the reproduce command: per-repetition CSV lines and a summary --
+
+ERROR_STUDIES = {"fig-errors-zero": "zero", "fig-errors-pos": "positive",
+                 "fig-errors-neg": "negative"}
+
+
+def errors_table(study: str, reps: int, base_seed: int = 0,
+                 threads: int = 1) -> tuple[list[str], dict]:
+    """The scenario of a fig-errors study under every noise kind."""
+    scenario = ERROR_STUDIES[study]
+    summary = {"study": study, "scenario": scenario, "reps": reps, "cells": {}}
+    lines = ["noise,rep,l2_error,verdict"]
+    for noise_kind in NOISE_SPECS:
+        results = classification_study(scenario, noise_kind, reps,
+                                       base_seed=base_seed, threads=threads)
+        for r in results:
+            lines.append(f"{noise_kind},{r['rep']},{r['l2_error']!r},{r['verdict']}")
+        errs = [r["l2_error"] for r in results if r["l2_error"] is not None]
+        summary["cells"][noise_kind] = {
+            "median_l2_error": float(np.median(errs)),
+            "verdict_accuracy": verdict_accuracy(results, scenario),
+        }
+    return lines, summary
+
+
+def channel_count_table(study: str, reps: int, base_seed: int = 0,
+                        threads: int = 1) -> tuple[list[str], dict]:
+    """fig-L-hist (the selected L per repetition) or fig-ratio-hist (every
+    fitted ratio) of the channel-count study in each scenario."""
+    summary = {"study": study, "reps": reps, "scenarios": {}}
+    lines = ["scenario,rep,L_hat,verdict"] if study == "fig-L-hist" else ["scenario,rep,ratio"]
+    for scenario in ("zero", "positive", "negative"):
+        results = channel_count_study(scenario, reps, base_seed=base_seed, threads=threads)
+        if study == "fig-L-hist":
+            for r in results:
+                lines.append(f"{scenario},{r['rep']},{r['L_hat']},{r['verdict']}")
+            l_hats = [r["L_hat"] for r in results]
+            summary["scenarios"][scenario] = {
+                "median_L_hat": float(np.median(l_hats)),
+                "underestimate_le_3": float(np.mean([20 - lh <= 3 for lh in l_hats])),
+            }
+        else:
+            pooled = []
+            for r in results:
+                for ratio in r["ratios"]:
+                    lines.append(f"{scenario},{r['rep']},{ratio!r}")
+                pooled.extend(r["ratios"])
+            summary["scenarios"][scenario] = {
+                "median_ratio": float(np.median(pooled)),
+                "n_ratios": len(pooled),
+            }
+    return lines, summary
+
+
+def fdr_table(study: str, reps: int, base_seed: int = 0,
+              threads: int = 1) -> tuple[list[str], dict]:
+    """Switch counts on constant truth at alpha = 0.05 and 0.1."""
+    summary = {"study": study, "reps": reps, "alphas": {}}
+    lines = ["alpha,rep,k_hat"]
+    for alpha in (0.05, 0.1):
+        res = fdr_study(alpha, reps, base_seed=base_seed, threads=threads)
+        for rep, k in enumerate(res["k_hats"]):
+            lines.append(f"{alpha!r},{rep},{k}")
+        summary["alphas"][repr(alpha)] = {"empirical_fdr": res["empirical_fdr"]}
+    return lines, summary
+
+
+# each study's table and its default repetition count
+STUDY_TABLES = {
+    **{study: (errors_table, 100) for study in ERROR_STUDIES},
+    "fig-L-hist": (channel_count_table, 300),
+    "fig-ratio-hist": (channel_count_table, 300),
+    "fdr-check": (fdr_table, 500),
+}

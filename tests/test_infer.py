@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from coopchan.core import DiscreteTrace, LevelLadder
 from coopchan.infer import (
     DimMismatch,
-    MdeOptions,
     TooShort,
     cooperativity_report,
     empirical_transition_matrix,
@@ -242,10 +241,24 @@ class TestMdeFit:
 
     def test_forced_branch_option(self):
         theta_star = ParamVector.from_flat([0.99, 0.99, 0.99, 0.99])
-        res = mde_fit(sum_transition_matrix(theta_star), 2,
-                      MdeOptions(identifiability_branch="minus"))
+        res = mde_fit(sum_transition_matrix(theta_star), 2, branch="minus")
         lam_h, eta_h = res.theta_hat.lam[1], res.theta_hat.eta[0]
         assert lam_h - (1 - eta_h) <= 1e-9
+
+    def test_forced_branch_keeps_a_better_grid_start_off_its_branch(self):
+        # the grid fits the middle row exactly at (0.9, 0.9), on the plus
+        # branch; forced to minus, the fit stays on minus, and on auto the
+        # grid start is kept
+        q_hat = sum_transition_matrix(ParamVector(2, [0.5, 0.9], [0.9, 0.5]))
+        minus = mde_fit(q_hat, 2, branch="minus")
+        lam_h, eta_h = middle_row(minus.theta_hat)
+        assert minus.diagnostics["branch"] == "minus"
+        assert lam_h + eta_h - 1.0 <= 0.0
+        assert minus.objective < 1e-10
+        auto = mde_fit(q_hat, 2)
+        assert auto.diagnostics["branch"] == "plus"
+        assert middle_row(auto.theta_hat) == (0.9, 0.9)
+        assert auto.objective <= auto.diagnostics["grid_objective"]
 
     @pytest.mark.parametrize("L", [1, 2, 3, 4])
     def test_lockstep_matches_one_start_at_a_time(self, L):
@@ -256,7 +269,7 @@ class TestMdeFit:
             theta = ParamVector(L, rng.uniform(0.98, 0.999, L), rng.uniform(0.98, 0.999, L))
             q_hat = empirical_transition_matrix(simulate_vnd(theta, 1200, seed=seed).sums, L=L)
             for branch, sign in (("plus", 1.0), ("minus", -1.0)):
-                res = mde_fit(q_hat, L, MdeOptions(identifiability_branch=branch))
+                res = mde_fit(q_hat, L, branch=branch)
                 assert res.objective <= res.diagnostics["grid_objective"]
                 ref = reference_fit(q_hat, L, sign if L % 2 == 0 else None)
                 if L % 2 == 0 and not q_hat.row_mask()[L // 2]:
@@ -269,8 +282,7 @@ class TestMdeFit:
         rng = np.random.default_rng(L)
         theta = ParamVector(L, rng.uniform(0.7, 0.99, L), rng.uniform(0.7, 0.99, L))
         q_hat = empirical_transition_matrix(simulate_vnd(theta, 3000, seed=L).sums, L=L)
-        fits = {b: mde_fit(q_hat, L, MdeOptions(identifiability_branch=b))
-                for b in ("plus", "minus")}
+        fits = {b: mde_fit(q_hat, L, branch=b) for b in ("plus", "minus")}
         half = L // 2
         outside = np.ones(2 * L, dtype=bool)
         outside[[half, L + half - 1]] = False
@@ -283,18 +295,16 @@ class TestMdeFit:
         assert both["plus"] - both["minus"] == pytest.approx(r_plus[half] - r_minus[half],
                                                              abs=1e-15)
 
-    def test_row_residuals_and_search_widths(self):
+    def test_row_residuals(self):
         theta = ParamVector(3, [0.95, 0.9, 0.85], [0.8, 0.9, 0.97])
         values = simulate_vnd(theta, 4000, seed=2).sums
         values = np.minimum(values, 2)  # state 3 never visited: row 3 masked
         q_hat = empirical_transition_matrix(values, L=3)
         res = mde_fit(q_hat, 3)
         residuals = res.diagnostics["row_residuals"]
-        widths = res.diagnostics["search_width"]
         assert res.diagnostics["masked_rows"] == [3]
         assert sum(residuals) == pytest.approx(res.objective, abs=1e-15)
-        assert residuals[3] == 0.0 and widths[3] == 0.0
-        assert all(0.0 < w <= 1e-7 for w in widths[:3])
+        assert residuals[3] == 0.0
         for k in range(3):
             # the objective of row k alone
             only_k = np.full_like(q_hat.entries, np.nan)
@@ -309,8 +319,7 @@ class TestMdeFit:
     def test_masked_middle_row_takes_branch_centre(self, branch, centre):
         # the trace steps between 0 and 2 channels open and never visits 1
         values = np.array([0, 0, 2, 2, 2, 0, 2, 0, 0, 0, 2, 2, 0] * 20)
-        res = mde_fit(empirical_transition_matrix(values, L=2), 2,
-                      MdeOptions(identifiability_branch=branch))
+        res = mde_fit(empirical_transition_matrix(values, L=2), 2, branch=branch)
         assert res.diagnostics["masked_rows"] == [1]
         assert res.diagnostics["branch"] == ("minus" if branch == "minus" else "plus")
         assert middle_row(res.theta_hat) == (centre, centre)

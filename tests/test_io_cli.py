@@ -12,7 +12,7 @@ from coopchan import io as cio
 from coopchan.cli import main
 from coopchan.core import DiscreteTrace, LevelLadder, StepFunction
 from coopchan.idealise import Idealisation, muscle_fit
-from coopchan.model import ParamVector
+from coopchan.model import ParamVector, simulate_vnd
 from coopchan.synth import NoiseSpec, Recording, make_kernel, synthesize_recording
 
 
@@ -304,6 +304,26 @@ class TestCli:
         ])
         assert result.exit_code == 3
 
+    def test_failed_run_keeps_its_snapshot(self, runner, tmp_path):
+        out = tmp_path / "out"
+        result = runner.invoke(main, [
+            "infer", "--input", str(tmp_path / "nope.csv"), "--branch", "plus",
+            "--out", str(out),
+        ])
+        assert result.exit_code == 3
+        snapshot = json.loads((out / "run_config.json").read_text())
+        assert snapshot == {"command": "infer", "input_path": str(tmp_path / "nope.csv"),
+                            "branch": "plus", "out": str(out)}
+
+    @pytest.mark.parametrize("command", ["pipeline", "idealise"])
+    def test_sidecar_without_kernel_exit_code(self, runner, tmp_path, command):
+        src = tmp_path / "rec.csv"
+        src.write_text("".join(f"{k / 100:.9f},{k % 5 * 0.1!r}\n" for k in range(1, 200)))
+        cio.dump_json({"sample_rate": 100.0}, cio.meta_path(src))
+        result = runner.invoke(main, [command, "--input", str(src), "--out", str(tmp_path / "o")])
+        assert result.exit_code == 2
+        assert "kernel" in result.output
+
     def test_header_only_input_exit_code(self, runner, tmp_path):
         src = tmp_path / "header.csv"
         src.write_text("time,current\n")
@@ -326,6 +346,24 @@ class TestCli:
         assert (out / "idealisation.csv").exists()
         assert (out / "run_config.json").exists()
         assert not (out / "report.json").exists()
+
+    def test_constant_recording_discretises_like_the_pipeline(self, runner, tmp_path):
+        # a single idealised level: discretise takes the pipeline's fallback
+        # ladder and writes the same trace
+        src = tmp_path / "flat.csv"
+        src.write_text("".join(f"{k / 1000:.9f},0.5\n" for k in range(1, 501)))
+        for command in ("idealise", "pipeline"):
+            result = runner.invoke(main, [command, "--input", str(src), "--rate", "1000",
+                                          "--out", str(tmp_path / command)])
+            assert result.exit_code == 0, result.output
+        result = runner.invoke(main, [
+            "discretise", "--input", str(tmp_path / "idealise" / "idealisation.csv"),
+            "--out", str(tmp_path / "discretise"),
+        ])
+        assert result.exit_code == 0, result.output
+        assert result.output.startswith("L: 1 ")
+        assert (read_bytes(tmp_path / "discretise" / "discrete.csv")
+                == read_bytes(tmp_path / "pipeline" / "discrete.csv"))
 
     def test_pipeline_on_headerless_csv_with_rate(self, runner, tmp_path):
         rng = np.random.default_rng(6)
@@ -402,6 +440,46 @@ class TestCli:
         assert staged["verdict"] == oneshot["verdict"]
         np.testing.assert_allclose(staged["theta_hat"]["lam"],
                                    oneshot["theta_hat"]["lam"], atol=1e-9)
+
+    def test_every_command_reruns_byte_identically(self, runner, tmp_path):
+        # each command twice, in two directories, on relative paths so that
+        # the snapshots agree too
+        commands = [
+            ["simulate", "--theta", "0.998,0.996,0.996,0.998", "--n", "3000", "--rate", "1000",
+             "--kernel", "bspline2", "--seed", "1", "--out", "sim"],
+            ["idealise", "--input", "sim/recording.csv", "--plots", "--out", "ideal"],
+            ["discretise", "--input", "ideal/idealisation.csv", "--out", "disc"],
+            ["infer", "--input", "disc/discrete.csv", "--branch", "minus", "--out", "infer"],
+            ["pipeline", "--input", "sim/recording.csv", "--L-sweep", "2:3", "--out", "sweep"],
+            ["markov-test", "--input", "chain/discrete.csv", "--out", "markov"],
+            ["dwell", "--input", "chain/discrete.csv", "--plots", "--out", "dwell"],
+            ["reproduce", "fig-errors-neg", "--reps", "1", "--seed", "2", "--out", "errors"],
+            ["reproduce", "fig-ratio-hist", "--reps", "1", "--seed", "2", "--out", "counts"],
+            ["reproduce", "fdr-check", "--reps", "1", "--seed", "2", "--out", "fdr"],
+        ]
+        chain = DiscreteTrace(values=simulate_vnd(ParamVector.constant(2, 0.9, 0.9), 5000,
+                                                  seed=2).sums,
+                              ladder=LevelLadder(L=2, offset=0.0, spacing=1.0))
+        runs = []
+        for name in ("a", "b"):
+            with runner.isolated_filesystem(temp_dir=tmp_path) as work:
+                Path("chain").mkdir()
+                cio.write_discrete(chain, 1000.0, Path("chain") / "discrete.csv")
+                stdout = []
+                for args in commands:
+                    result = runner.invoke(main, args)
+                    assert result.exit_code == 0, (args, result.output)
+                    stdout.append(result.output)
+                files = {str(p.relative_to(work)): p.read_bytes()
+                         for p in Path(work).rglob("*") if p.is_file()}
+            runs.append((stdout, files))
+        assert runs[0] == runs[1]
+        assert "infer/report.json" in runs[0][1] and "dwell/dwell_state1.svg" in runs[0][1]
+        for study, out in (("fig-errors-neg", "errors"), ("fig-ratio-hist", "counts"),
+                           ("fdr-check", "fdr")):
+            snapshot = json.loads(runs[0][1][f"{out}/run_config.json"])
+            assert snapshot["command"] == f"reproduce:{study}"
+            assert "study" not in snapshot
 
     def test_reproduce_fig_errors_small(self, runner, tmp_path):
         out = tmp_path / "study"
