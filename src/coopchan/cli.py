@@ -283,6 +283,8 @@ def pipeline(resolved, out):
             lo, hi = (int(v) for v in str(sweep).split(":"))
         except ValueError as err:
             raise InvalidConfig(f"cannot parse --L-sweep {sweep!r}") from err
+        if hi < lo:
+            raise InvalidConfig(f"--L-sweep {sweep!r} is an empty range")
         for L in range(lo, hi + 1):
             result = _pipeline_once(rec, resolved, out, L, suffix=f"_L{L}")
             click.echo(f"L={L}: verdict {result.report.verdict.value}")
@@ -347,7 +349,10 @@ def dwell(resolved, out):
 def reproduce(study, resolved, out):
     """Seeded Monte-Carlo studies; writes per-repetition CSV and a summary."""
     table, default_reps = STUDY_TABLES[study]
-    lines, summary = table(study, int(resolved.get("reps", default_reps)),
+    reps = int(resolved.get("reps", default_reps))
+    if reps < 1:
+        raise InvalidConfig(f"--reps must be at least 1, got {reps}")
+    lines, summary = table(study, reps,
                            base_seed=int(resolved.get("seed", 0)),
                            threads=int(resolved.get("threads", 1)))
     (out / f"{study}.csv").write_text("\n".join(lines) + "\n")

@@ -154,11 +154,10 @@ def read_recording(path, sample_rate: float | None = None) -> Recording:
 
 def write_idealisation(ideal: Idealisation, path) -> None:
     path = Path(path)
-    lines = ["segment_start_time,segment_end_time,level"]
     breaks = ideal.fit.breaks
-    for j, level in enumerate(ideal.fit.levels):
-        lines.append(f"{breaks[j]:.9f},{breaks[j + 1]:.9f},{_f(level)}")
-    path.write_text("\n".join(lines) + "\n")
+    rows = map("{:.9f},{:.9f},{!r}".format, breaks[:-1].tolist(), breaks[1:].tolist(),
+               ideal.fit.levels.tolist())
+    path.write_text("segment_start_time,segment_end_time,level\n" + "\n".join(rows) + "\n")
     dump_json({
         "alpha": ideal.alpha,
         "n_switches": ideal.n_switches,
@@ -185,9 +184,8 @@ def read_idealisation(path) -> Idealisation:
 def write_discrete(trace: DiscreteTrace, sample_rate: float, path) -> None:
     path = Path(path)
     times = np.arange(1, len(trace) + 1) / sample_rate
-    lines = ["time,open_channels"]
-    lines += [f"{t:.9f},{int(v)}" for t, v in zip(times, trace.values)]
-    path.write_text("\n".join(lines) + "\n")
+    rows = map("{:.9f},{}".format, times.tolist(), trace.values.tolist())
+    path.write_text("time,open_channels\n" + "\n".join(rows) + "\n")
     dump_json({
         "sample_rate": float(sample_rate),
         "ladder": {"L": trace.ladder.L, "offset": trace.ladder.offset,

@@ -313,6 +313,12 @@ def simulate_vnd(theta: ParamVector, n: int, seed, init="all-closed") -> JointTr
     for all transitions are drawn as one (n-1, L) block up front, so the draw
     consumed by coordinate i at step k is fixed regardless of evaluation
     order.  ``init`` is "all-closed" or an explicit binary vector.
+
+    Coordinate i moves at step k only if its draw reaches its stay
+    probability, so a step whose draws all lie below the smallest entry of
+    theta moves no channel in any state.  The scalar rule runs only on
+    the other steps, and the states in between are repeats of the last one:
+    the same draws give the same trace as a rule applied at every step.
     """
     validate_theta(theta)
     if n < 1:
@@ -326,29 +332,31 @@ def simulate_vnd(theta: ParamVector, n: int, seed, init="all-closed") -> JointTr
         x0 = np.asarray(init).astype(np.int8)
         if x0.shape != (L,) or ((x0 != 0) & (x0 != 1)).any():
             raise ValueError("init must be a binary vector of length L")
-    states = np.empty((n, L), dtype=np.int8)
-    states[0] = x0
-    if n > 1:
-        rng = np.random.Generator(np.random.Philox(_seed_sequence(seed)))
-        u = rng.random((n - 1, L)).tolist()
-        lam = theta.lam.tolist()
-        eta = theta.eta.tolist()
-        x = [int(v) for v in x0]
-        s = sum(x)
-        for k in range(n - 1):
-            uk = u[k]
-            ls = lam[s] if s < L else 0.0
-            es = eta[s - 1] if s >= 1 else 0.0
-            new = 0
-            for i in range(L):
-                if x[i]:
-                    x[i] = 1 if uk[i] < es else 0
-                else:
-                    x[i] = 0 if uk[i] < ls else 1
-                new += x[i]
-            s = new
-            states[k + 1] = x
-    return JointTrace(states=states, sums=states.sum(axis=1, dtype=np.int16))
+    rng = np.random.Generator(np.random.Philox(_seed_sequence(seed)))
+    u = rng.random((n - 1, L))
+    steps = np.flatnonzero((u >= min(theta.lam.min(), theta.eta.min())).any(axis=1))
+    lam = theta.lam.tolist()
+    eta = theta.eta.tolist()
+    x = [int(v) for v in x0]
+    s = sum(x)
+    visited = []
+    for uk in u[steps].tolist():
+        ls = lam[s] if s < L else 0.0
+        es = eta[s - 1] if s >= 1 else 0.0
+        new = 0
+        for i in range(L):
+            if x[i]:
+                x[i] = 1 if uk[i] < es else 0
+            else:
+                x[i] = 0 if uk[i] < ls else 1
+            new += x[i]
+        s = new
+        visited += x
+    # row k + 1 is the state after step k, held until the next step that ran
+    runs = np.diff(np.concatenate(([0], steps + 1, [n])))
+    held = np.concatenate((x0, np.array(visited, dtype=np.int8))).reshape(-1, L)
+    return JointTrace(states=np.repeat(held, runs, axis=0),
+                      sums=np.repeat(held.sum(axis=1, dtype=np.int16), runs))
 
 
 def classify_cooperativity(theta: ParamVector, tol: float = 1e-3) -> CooperativityReport:

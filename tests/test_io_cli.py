@@ -70,6 +70,37 @@ class TestIORoundTrips:
         rows = [f"{t:.9f},{repr(float(v))}" for t, v in zip(rec.times(), rec.samples)]
         assert path.read_text() == "\n".join(["time,current"] + rows) + "\n"
 
+    @pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int64, np.uint8])
+    def test_discrete_rows_match_row_formatter(self, tmp_path, dtype):
+        # sample times at nine decimals and counts as integers, whatever the
+        # integer dtype of the trace
+        values = np.random.default_rng(13).integers(0, 21, 5000).astype(dtype)
+        trace = DiscreteTrace(values=values, ladder=LevelLadder(L=20, offset=0.0, spacing=1.0))
+        path = tmp_path / "disc.csv"
+        cio.write_discrete(trace, 3.0, path)
+        times = np.arange(1, len(values) + 1) / 3.0
+        rows = [f"{t:.9f},{int(v)}" for t, v in zip(times, values)]
+        assert path.read_text() == "\n".join(["time,open_channels"] + rows) + "\n"
+
+    def test_idealisation_rows_match_row_formatter(self, tmp_path):
+        # segment bounds at nine decimals and levels by repr, on awkward
+        # floats too
+        rng = np.random.default_rng(14)
+        levels = np.concatenate([
+            rng.normal(size=200), rng.standard_cauchy(100) * 1e6,
+            [0.0, 1.0, -0.0, 5e-324, -2.2e-308, 1e-310, -3.0, 2.0 ** 60, 1e22, 0.1, 1 / 3],
+        ])
+        ends = np.cumsum(rng.integers(1, 50, len(levels)))
+        breaks = np.concatenate([[0.0], (ends[:-1] - 0.5) / 3.0, [ends[-1] / 3.0]])
+        ideal = Idealisation(fit=StepFunction(breaks, levels), alpha=0.1,
+                             n_switches=len(levels) - 1, feasible=True, sample_rate=3.0)
+        path = tmp_path / "ideal.csv"
+        cio.write_idealisation(ideal, path)
+        rows = [f"{breaks[j]:.9f},{breaks[j + 1]:.9f},{repr(float(lv))}"
+                for j, lv in enumerate(levels)]
+        assert path.read_text() == "\n".join(["segment_start_time,segment_end_time,level"]
+                                             + rows) + "\n"
+
     def test_csv_layout_rules(self, tmp_path):
         # leading blank lines and an optional header are skipped, further
         # columns are ignored
@@ -289,6 +320,30 @@ class TestCli:
         summary = json.loads((out / "dwell.json").read_text())
         assert summary["3"]["n_dwells"] == 0
         assert summary["3"]["rate"] is None
+
+    @pytest.mark.parametrize("reps", ["0", "-1"])
+    @pytest.mark.parametrize("study", ["fdr-check", "fig-errors-zero"])
+    def test_reproduce_without_repetitions_exit_code(self, runner, tmp_path, study, reps):
+        out = tmp_path / "study"
+        result = runner.invoke(main, ["reproduce", study, "--reps", reps, "--out", str(out)])
+        assert result.exit_code == 2
+        assert "--reps" in result.output
+        assert not (out / f"{study}.json").exists()
+        assert not (out / f"{study}.csv").exists()
+
+    def test_empty_l_sweep_exit_code(self, runner, tmp_path):
+        rec = synthesize_recording(ParamVector(1, [0.99], [0.99]), 500, 1000.0,
+                                   kernel="bspline2", noise=NoiseSpec("gaussian", sigma=0.05),
+                                   seed=3)
+        cio.write_recording(rec, tmp_path / "rec.csv")
+        out = tmp_path / "sweep"
+        result = runner.invoke(main, [
+            "pipeline", "--input", str(tmp_path / "rec.csv"), "--L-sweep", "3:2",
+            "--out", str(out),
+        ])
+        assert result.exit_code == 2
+        assert "empty range" in result.output
+        assert sorted(p.name for p in out.iterdir()) == ["run_config.json"]
 
     def test_invalid_config_exit_code(self, runner, tmp_path):
         result = runner.invoke(main, [

@@ -22,10 +22,55 @@ from coopchan.model import (
     sum_transition_matrix_bruteforce,
     validate_theta,
 )
+from coopchan.studies import l20_scenario
 
 
 def random_theta(rng, L, lo=0.0, hi=1.0):
     return ParamVector(L, rng.uniform(lo, hi, L), rng.uniform(lo, hi, L))
+
+
+def reference_simulate(theta, n, seed, init="all-closed"):
+    """The joint chain with the scalar rule applied at every step, on the
+    same (n-1, L) Philox block as simulate_vnd."""
+    L = theta.L
+    x0 = np.zeros(L, dtype=np.int8) if isinstance(init, str) else np.asarray(init).astype(np.int8)
+    states = np.empty((n, L), dtype=np.int8)
+    states[0] = x0
+    if n > 1:
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+        u = rng.random((n - 1, L)).tolist()
+        lam = theta.lam.tolist()
+        eta = theta.eta.tolist()
+        x = [int(v) for v in x0]
+        s = sum(x)
+        for k in range(n - 1):
+            uk = u[k]
+            ls = lam[s] if s < L else 0.0
+            es = eta[s - 1] if s >= 1 else 0.0
+            new = 0
+            for i in range(L):
+                if x[i]:
+                    x[i] = 1 if uk[i] < es else 0
+                else:
+                    x[i] = 0 if uk[i] < ls else 1
+                new += x[i]
+            s = new
+            states[k + 1] = x
+    return JointTrace(states=states, sums=states.sum(axis=1, dtype=np.int16))
+
+
+def assert_same_trace(trace, expected):
+    assert trace.states.dtype == expected.states.dtype
+    assert trace.sums.dtype == expected.sums.dtype
+    assert trace.states.shape == expected.states.shape
+    assert trace.states.tobytes() == expected.states.tobytes()
+    assert trace.sums.tobytes() == expected.sums.tobytes()
+
+
+stay_probability = st.one_of(
+    st.sampled_from([0.0, 1.0, 0.99, 0.999]),
+    st.floats(0.0, 1.0, allow_nan=False),
+)
 
 
 class TestValidate:
@@ -182,6 +227,25 @@ class TestSimulate:
         trace = simulate_vnd(ParamVector.constant(4, 0.6, 0.6), 500, seed=9)
         np.testing.assert_array_equal(trace.sums, trace.states.sum(axis=1))
         assert trace.sums.min() >= 0 and trace.sums.max() <= 4
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data(), st.integers(1, 6), st.integers(1, 3000), st.integers(0, 2**32 - 1))
+    def test_matches_per_step_reference(self, data, L, n, seed):
+        theta = ParamVector(L, data.draw(st.lists(stay_probability, min_size=L, max_size=L)),
+                            data.draw(st.lists(stay_probability, min_size=L, max_size=L)))
+        init = data.draw(st.one_of(st.just("all-closed"),
+                                   st.lists(st.integers(0, 1), min_size=L, max_size=L)))
+        assert_same_trace(simulate_vnd(theta, n, seed, init=init),
+                          reference_simulate(theta, n, seed, init=init))
+
+    @pytest.mark.parametrize("theta, n", [
+        (l20_scenario("zero"), 100_000),
+        (l20_scenario("positive"), 100_000),
+        (l20_scenario("negative"), 100_000),
+        (ParamVector.constant(3, 0.998, 0.998), 300_000),
+    ], ids=["l20-zero", "l20-positive", "l20-negative", "acceptance-9"])
+    def test_seeded_chains_match_per_step_reference(self, theta, n):
+        assert_same_trace(simulate_vnd(theta, n, seed=7), reference_simulate(theta, n, seed=7))
 
 
 class TestCooperativity:
