@@ -45,16 +45,6 @@ class StepFunction:
         if len(levels) > 1 and np.any(levels[1:] == levels[:-1]):
             raise ValueError("adjacent levels must differ")
 
-    @classmethod
-    def from_segments(cls, breaks, levels) -> "StepFunction":
-        """Build a step function, merging adjacent segments with equal levels."""
-        breaks = np.asarray(breaks, dtype=float)
-        levels = np.asarray(levels, dtype=float)
-        keep = np.concatenate([[True], levels[1:] != levels[:-1]])
-        merged_levels = levels[keep]
-        merged_breaks = np.concatenate([breaks[:-1][keep], breaks[-1:]])
-        return cls(merged_breaks, merged_levels)
-
     @property
     def n_changes(self) -> int:
         return len(self.levels) - 1
@@ -102,14 +92,10 @@ class LevelLadder:
 
 @dataclass(frozen=True)
 class DiscreteTrace:
-    """Open-channel count per sample, together with the fitted level ladder.
-
-    ``durations`` carries the per-sample weight (1.0 at sample resolution).
-    """
+    """Open-channel count per sample, together with the fitted level ladder."""
 
     values: np.ndarray
     ladder: LevelLadder
-    durations: np.ndarray | None = None
 
     def __post_init__(self):
         values = np.asarray(self.values)
@@ -123,10 +109,6 @@ class DiscreteTrace:
         object.__setattr__(self, "values", values)
         if values.min() < 0 or values.max() > self.ladder.L:
             raise ValueError("trace values must lie in {0,...,L}")
-        if self.durations is None:
-            object.__setattr__(self, "durations", np.ones(len(values)))
-        else:
-            object.__setattr__(self, "durations", np.asarray(self.durations, dtype=float))
 
     def __len__(self) -> int:
         return len(self.values)

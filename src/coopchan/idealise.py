@@ -149,6 +149,14 @@ class _Segmenter:
             self.dev_scales.append((length, max(1, length // 2)))
             length *= 2
 
+    @classmethod
+    def from_recording(cls, recording: Recording, alpha: float) -> "_Segmenter":
+        """The segmenter of a recording: its filter transient excluded after
+        each switch, decimated by its kernel's stride."""
+        d = int(math.ceil(recording.kernel.support * recording.sample_rate - 1e-9))
+        return cls(recording.samples, d=d, stride=recording.kernel.decimation_stride(),
+                   alpha=alpha)
+
     # -- segment geometry ---------------------------------------------------
 
     def test_start(self, a: int, b: int) -> int:
@@ -170,6 +178,20 @@ class _Segmenter:
         bd = -(-b // self.stride)
         return sd, bd
 
+    def _counter(self, lo: int, hi: int, c: float):
+        """Sign counts at level c of the windows inside yd[lo:hi]:
+        ``count(starts, length)`` gives, for each window [s, s + length) with
+        s in ``starts`` (decimated indices), the samples below c plus half of
+        those equal to c."""
+        seg = self.yd[lo:hi]
+        p_lt = np.concatenate([[0], np.cumsum(seg < c)])
+        p_eq = np.concatenate([[0], np.cumsum(seg == c)])
+
+        def count(starts, length):
+            rel = starts - lo
+            return (p_lt[rel + length] - p_lt[rel]) + 0.5 * (p_eq[rel + length] - p_eq[rel])
+        return count
+
     # -- feasibility ----------------------------------------------------------
 
     def feasible(self, a: int, b: int, c: float | None = None) -> bool:
@@ -178,7 +200,7 @@ class _Segmenter:
         sd, bd = self._dec_range(a, b)
         if bd - sd <= 1:
             return True
-        prefixes = None
+        count = None
         for sw in self.scales:
             if sw.length > bd - sd:
                 break
@@ -192,15 +214,9 @@ class _Segmenter:
             if ok.all():
                 continue
             # ties (or a genuine violation): count exactly, halving ties
-            if prefixes is None:
-                seg = self.yd[sd:bd]
-                p_lt = np.concatenate([[0], np.cumsum(seg < c)])
-                p_eq = np.concatenate([[0], np.cumsum(seg == c)])
-                prefixes = (p_lt, p_eq)
-            p_lt, p_eq = prefixes
-            bad = np.nonzero(~ok)[0]
-            rel = (j0 + bad) * sw.step - sd
-            cnt = (p_lt[rel + sw.length] - p_lt[rel]) + 0.5 * (p_eq[rel + sw.length] - p_eq[rel])
+            if count is None:
+                count = self._counter(sd, bd, c)
+            cnt = count((j0 + np.nonzero(~ok)[0]) * sw.step, sw.length)
             if ((cnt < sw.lo) | (cnt > sw.up)).any():
                 return False
         return True
@@ -213,9 +229,7 @@ class _Segmenter:
         sd, bd = self._dec_range(a, b)
         if bd - sd <= 1:
             return 0.0
-        seg = self.yd[sd:bd]
-        p_lt = np.concatenate([[0], np.cumsum(seg < c)])
-        p_eq = np.concatenate([[0], np.cumsum(seg == c)])
+        count = self._counter(sd, bd, c)
         total = 0.0
         for length, step in self.dev_scales:
             if length > bd - sd:
@@ -224,8 +238,7 @@ class _Segmenter:
             j1 = (bd - length) // step
             if j1 < j0:
                 continue
-            rel = np.arange(j0, j1 + 1) * step - sd
-            cnt = (p_lt[rel + length] - p_lt[rel]) + 0.5 * (p_eq[rel + length] - p_eq[rel])
+            cnt = count(np.arange(j0, j1 + 1) * step, length)
             total += float(np.abs(cnt - length / 2.0).sum())
         return total
 
@@ -320,13 +333,7 @@ class _Segmenter:
         if j1 < j0:
             return np.empty(0, dtype=np.int64), np.empty(0)
         starts = np.arange(j0, j1 + 1) * step
-        lo_i = int(starts.min())
-        hi_i = int(starts.max()) + length
-        seg = self.yd[lo_i:hi_i]
-        p_lt = np.concatenate([[0], np.cumsum(seg < c)])
-        p_eq = np.concatenate([[0], np.cumsum(seg == c)])
-        rel = starts - lo_i
-        cnt = (p_lt[rel + length] - p_lt[rel]) + 0.5 * (p_eq[rel + length] - p_eq[rel])
+        cnt = self._counter(int(starts.min()), int(starts.max()) + length, c)(starts, length)
         return starts, np.abs(cnt - length / 2.0)
 
     def refine_boundary(self, a0: int, b0: int, b1: int, halfwidth: int) -> int:
@@ -382,10 +389,6 @@ class _Segmenter:
         return b0
 
 
-def _exclusion_samples(recording: Recording) -> int:
-    return int(math.ceil(recording.kernel.support * recording.sample_rate - 1e-9))
-
-
 def muscle_fit(recording: Recording, alpha: float = 0.1) -> Idealisation:
     """Minimum-switch step fit subject to per-segment sign-count constraints.
 
@@ -396,12 +399,7 @@ def muscle_fit(recording: Recording, alpha: float = 0.1) -> Idealisation:
     which matches the exact answer except on adversarial inputs.
     """
     y = recording.samples
-    prob = _Segmenter(
-        y,
-        d=_exclusion_samples(recording),
-        stride=recording.kernel.decimation_stride(),
-        alpha=alpha,
-    )
+    prob = _Segmenter.from_recording(recording, alpha)
     if prob.n <= 64:
         segs = prob.exact_segments()
     else:
@@ -441,12 +439,7 @@ def muscle_fit(recording: Recording, alpha: float = 0.1) -> Idealisation:
 
 def check_idealisation(recording: Recording, ideal: Idealisation) -> bool:
     """Re-verify an idealisation against its own sign-count constraints."""
-    prob = _Segmenter(
-        recording.samples,
-        d=_exclusion_samples(recording),
-        stride=recording.kernel.decimation_stride(),
-        alpha=ideal.alpha,
-    )
+    prob = _Segmenter.from_recording(recording, ideal.alpha)
     rate = recording.sample_rate
     starts = [0] + [int(round(t * rate - 0.5)) for t in ideal.fit.breaks[1:-1]]
     ends = starts[1:] + [len(recording.samples)]

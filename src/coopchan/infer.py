@@ -20,7 +20,7 @@ from .model import (
     ParamVector,
     TransitionMatrix,
     classify_cooperativity,
-    transition_row,
+    _row_params,
     transition_rows_grid,
     validate_theta,
 )
@@ -67,16 +67,10 @@ def empirical_transition_matrix(trace, L: int | None = None) -> TransitionMatrix
 
 
 def _row_residuals(theta: ParamVector, q_hat: TransitionMatrix) -> np.ndarray:
-    L = theta.L
-    mask = q_hat.row_mask()
-    out = np.zeros(L + 1)
-    for i in range(L + 1):
-        if not mask[i]:
-            continue
-        li = float(theta.lam[i]) if i < L else 0.0
-        ei = float(theta.eta[i - 1]) if i >= 1 else 0.0
-        diff = transition_row(L, i, li, ei) - q_hat.entries[i]
-        out[i] = float(diff @ diff)
+    out = np.zeros(theta.L + 1)
+    for i in np.flatnonzero(q_hat.row_mask()):
+        li, ei = _row_params(theta, i)
+        out[i] = _grid_residuals(theta.L, i, q_hat.entries[i], [li], [ei], None)[0]
     return out
 
 
@@ -105,33 +99,21 @@ def grid_init(q_hat: TransitionMatrix, L: int, grid=DEFAULT_GRID) -> ParamVector
     grid = np.asarray(sorted(grid), dtype=float)
     if grid.size == 0:
         raise ValueError("grid must be nonempty")
-    mask = q_hat.row_mask()
     lam = np.full(L, grid[0])
     eta = np.full(L, grid[0])
-    for i in range(L + 1):
-        has_lam = i < L
-        has_eta = i >= 1
-        if not mask[i]:
-            continue
-        target = q_hat.entries[i]
-        lam_cands = grid if has_lam else np.array([0.0])
-        eta_cands = grid if has_eta else np.array([0.0])
-        scored = []
-        for lv in lam_cands:
-            for ev in eta_cands:
-                diff = transition_row(L, i, float(lv), float(ev)) - target
-                scored.append((float(diff @ diff), float(lv), float(ev)))
-        min_val = min(s[0] for s in scored)
-        ties = [s for s in scored if s[0] <= min_val + 1e-15]
+    for i in np.flatnonzero(q_hat.row_mask()):
+        # lam-major candidates over the sorted grid are in lexicographic order
+        ll, ee = np.meshgrid(grid if i < L else [0.0], grid if i >= 1 else [0.0],
+                             indexing="ij")
+        ll, ee = ll.ravel(), ee.ravel()
+        vals = _grid_residuals(L, i, q_hat.entries[i], ll, ee, None)
+        ties = np.flatnonzero(vals <= vals.min() + 1e-15)
         if L % 2 == 0 and i == L // 2:
-            ties.sort(key=lambda s: (s[1] < 1.0 - s[2], s[1], s[2]))
-        else:
-            ties.sort(key=lambda s: (s[1], s[2]))
-        _, best_lam, best_eta = ties[0]
-        if has_lam:
-            lam[i] = best_lam
-        if has_eta:
-            eta[i - 1] = best_eta
+            ties = ties[np.argsort(ll[ties] < 1.0 - ee[ties], kind="stable")]
+        if i < L:
+            lam[i] = ll[ties[0]]
+        if i >= 1:
+            eta[i - 1] = ee[ties[0]]
     return ParamVector(L, lam, eta)
 
 
@@ -145,7 +127,11 @@ _BRANCH_CENTRE = {1.0: (5.0 + np.sqrt(5.0)) / 10.0, -1.0: (5.0 - np.sqrt(5.0)) /
 def _grid_residuals(L: int, i: int, target: np.ndarray, lam_c, eta_c,
                     branch_sign: float | None) -> np.ndarray:
     """Residual of row i at paired candidates; candidates off the branch
-    ``branch_sign * (lam + eta - 1) >= 0`` score infinity."""
+    ``branch_sign * (lam + eta - 1) >= 0`` score infinity.
+
+    The objective, the grid start and the row solves all score rows here, and
+    a candidate scores the same bits alone as inside a batch, so their values
+    compare exactly."""
     rows = transition_rows_grid(L, i, lam_c, eta_c)
     vals = ((rows - target[None, :]) ** 2).sum(axis=1)
     if branch_sign is not None:
@@ -233,10 +219,11 @@ def mde_fit(q_hat: TransitionMatrix, L: int, branch: str = "auto") -> MdeResult:
     branch (lam_{L/2} >= 1 - eta_{L/2} and the reverse) unless ``branch``
     is "plus" or "minus"; the other rows do not depend on the branch.  The
     lower objective wins, ties resolve to plus, and both are recorded in the
-    diagnostics.  The grid start replaces a worse solution when it lies on
-    the chosen branch.  Its middle row lies on plus, where grid ties
-    resolve, and the plus solve starts from it; so on auto the returned
-    objective never exceeds the grid initialization's.  A masked middle row
+    diagnostics.  Each row's solve keeps its grid value as a candidate when
+    that value lies on the solved branch, so no such row ends worse than its
+    start, and the objective never exceeds the grid initialization's
+    (``grid_objective``) when the grid's middle row lies on the chosen
+    branch.  Grid ties on the middle row resolve to plus.  A masked middle row
     takes the chosen branch's centre, lam = eta = (5 +- sqrt 5) / 10; other
     masked rows keep their grid value.
 
@@ -248,14 +235,13 @@ def mde_fit(q_hat: TransitionMatrix, L: int, branch: str = "auto") -> MdeResult:
     if q_hat.dim != L + 1:
         raise DimMismatch(f"matrix dim {q_hat.dim} does not match L = {L}")
     mask = q_hat.row_mask()
-    x0 = grid_init(q_hat, L).flat
+    start = grid_init(q_hat, L)
+    x0 = start.flat
     half = L // 2 if L % 2 == 0 else None
     branches = [None] if half is None else _BRANCH_SIGNS[branch]
 
     def solve_into(x, i, sign=None):
-        lam_i = x0[i] if i < L else 0.0
-        eta_i = x0[L + i - 1] if i >= 1 else 0.0
-        lam_i, eta_i = _solve_row(L, i, q_hat.entries[i], lam_i, eta_i, sign)
+        lam_i, eta_i = _solve_row(L, i, q_hat.entries[i], *_row_params(start, i), sign)
         if i < L:
             x[i] = lam_i
         if i >= 1:
@@ -284,14 +270,7 @@ def mde_fit(q_hat: TransitionMatrix, L: int, branch: str = "auto") -> MdeResult:
             key = min(solutions, key=lambda s: solutions[s][1])
     else:
         key = branches[0]
-    x_best, f_best = solutions[key]
-
-    f0 = objective(x0)
-    # the grid start may replace the solution only on its own branch; a
-    # masked middle row lies on both
-    gap = x0[half] - 1.0 + x0[L + half - 1] if half is not None and mask[half] else 0.0
-    if f0 < f_best and (key is None or key * gap >= 0):
-        x_best = x0.copy()
+    x_best = solutions[key][0]
     if half is not None and not mask[half]:
         x_best[half] = x_best[L + half - 1] = _BRANCH_CENTRE[key]
 
@@ -299,7 +278,7 @@ def mde_fit(q_hat: TransitionMatrix, L: int, branch: str = "auto") -> MdeResult:
     validate_theta(theta_hat)
     residuals = _row_residuals(theta_hat, q_hat)
     diagnostics = {
-        "grid_objective": f0,
+        "grid_objective": objective(x0),
         "masked_rows": [int(i) for i in np.nonzero(~mask)[0]],
         "degenerate": bool(mask.sum() <= 1),
         "branch": {None: "none", 1.0: "plus", -1.0: "minus"}[key],

@@ -100,9 +100,10 @@ def write_recording(recording: Recording, path) -> None:
 
 
 def _first_sample_line(path: Path) -> int:
-    """Index of the first sample row of a recording CSV.  Leading blank lines
-    are skipped, and so is a header: a first non-blank line that does not
-    start like a number.  Raises ValueError when no sample row follows."""
+    """Index of the first sample row of a recording, idealisation or
+    discrete-trace CSV.  Leading blank lines are skipped, and so is a header:
+    a first non-blank line that does not start like a number.  Raises
+    ValueError when no sample row follows."""
     after_header = False
     with path.open() as fh:
         for i, line in enumerate(fh):
@@ -168,15 +169,10 @@ def write_idealisation(ideal: Idealisation, path) -> None:
 
 def read_idealisation(path) -> Idealisation:
     path = Path(path)
-    rows = path.read_text().strip().splitlines()[1:]
-    starts, ends, levels = [], [], []
-    for row in rows:
-        a, b, lvl = row.split(",")
-        starts.append(float(a))
-        ends.append(float(b))
-        levels.append(float(lvl))
+    data = np.loadtxt(path, delimiter=",", usecols=(0, 1, 2), ndmin=2,
+                      skiprows=_first_sample_line(path))
     meta = load_json(meta_path(path))
-    fit = StepFunction(np.asarray(starts + ends[-1:]), np.asarray(levels))
+    fit = StepFunction(np.append(data[:, 0], data[-1, 1]), data[:, 2])
     return Idealisation(fit=fit, alpha=meta["alpha"], n_switches=meta["n_switches"],
                         feasible=meta["feasible"], sample_rate=meta["sample_rate"])
 
@@ -195,8 +191,8 @@ def write_discrete(trace: DiscreteTrace, sample_rate: float, path) -> None:
 
 def read_discrete(path) -> tuple[DiscreteTrace, float]:
     path = Path(path)
-    rows = path.read_text().strip().splitlines()[1:]
-    values = np.array([int(row.split(",")[1]) for row in rows])
+    values = np.loadtxt(path, delimiter=",", usecols=1, dtype=np.int64, ndmin=1,
+                        skiprows=_first_sample_line(path))
     meta = load_json(meta_path(path))
     ladder = LevelLadder(L=meta["ladder"]["L"], offset=meta["ladder"]["offset"],
                          spacing=meta["ladder"]["spacing"], sse=meta["ladder"].get("sse", 0.0))

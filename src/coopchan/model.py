@@ -221,22 +221,9 @@ def _row_tables(L: int, i: int):
     return coeff, e_eta, e_eta_c, e_lam, e_lam_c
 
 
-def transition_row(L: int, i: int, lam_i: float, eta_i: float) -> np.ndarray:
-    """Row i of the sum-process transition matrix, which depends only on
-    (lam_i, eta_i)."""
-    coeff, e_eta, e_eta_c, e_lam, e_lam_c = _row_tables(L, i)
-    terms = (
-        coeff
-        * eta_i ** e_eta
-        * (1.0 - eta_i) ** e_eta_c
-        * lam_i ** e_lam
-        * (1.0 - lam_i) ** e_lam_c
-    )
-    return terms.sum(axis=1)
-
-
 def transition_rows_grid(L: int, i: int, lam, eta) -> np.ndarray:
-    """Row i evaluated at paired candidate arrays: returns (len(lam), L+1)."""
+    """Row i of the sum-process transition matrix, which depends only on
+    (lam_i, eta_i), at paired candidate arrays: returns (len(lam), L+1)."""
     coeff, e_eta, e_eta_c, e_lam, e_lam_c = _row_tables(L, i)
     lam = np.asarray(lam, dtype=float)[:, None, None]
     eta = np.asarray(eta, dtype=float)[:, None, None]
@@ -257,7 +244,7 @@ def sum_transition_matrix(theta: ParamVector) -> TransitionMatrix:
     q = np.empty((L + 1, L + 1))
     for i in range(L + 1):
         li, ei = _row_params(theta, i)
-        q[i] = transition_row(L, i, li, ei)
+        q[i] = transition_rows_grid(L, i, [li], [ei])[0]
     return TransitionMatrix(q)
 
 
@@ -265,9 +252,7 @@ def joint_transition_prob(theta: ParamVector, x, z) -> float:
     """P(next = z | current = x) as the product of coordinate probabilities."""
     x = np.asarray(x)
     z = np.asarray(z)
-    r = int(x.sum())
-    li = float(theta.lam[r]) if r < theta.L else 0.0
-    ei = float(theta.eta[r - 1]) if r >= 1 else 0.0
+    li, ei = _row_params(theta, int(x.sum()))
     p = 1.0
     for xi, zi in zip(x, z):
         if xi:

@@ -11,7 +11,6 @@ from coopchan.core import StepFunction
 from coopchan.idealise import (
     InvalidAlpha,
     SignBounds,
-    _exclusion_samples,
     _Segmenter,
     check_idealisation,
     empirical_fdr,
@@ -306,8 +305,7 @@ class TestScaling:
     @staticmethod
     def probed_samples(rec):
         """Samples covered by the feasibility probes of the greedy pass."""
-        prob = _Segmenter(rec.samples, d=_exclusion_samples(rec),
-                          stride=rec.kernel.decimation_stride(), alpha=0.1)
+        prob = _Segmenter.from_recording(rec, alpha=0.1)
         total = 0
         feasible = prob.feasible
 

@@ -5,8 +5,10 @@ from hypothesis import strategies as st
 
 from coopchan.core import DiscreteTrace, LevelLadder
 from coopchan.infer import (
+    DEFAULT_GRID,
     DimMismatch,
     TooShort,
+    _grid_residuals,
     cooperativity_report,
     empirical_transition_matrix,
     grid_init,
@@ -15,6 +17,7 @@ from coopchan.infer import (
 )
 from coopchan.model import (
     ParamVector,
+    _row_params,
     TransitionMatrix,
     Verdict,
     simulate_vnd,
@@ -25,6 +28,63 @@ from coopchan.model import (
 
 def ladder(L):
     return LevelLadder(L=L, offset=0.0, spacing=1.0)
+
+
+def reference_grid_init(q_hat, L, grid=DEFAULT_GRID):
+    """The product-grid start one candidate at a time: each scored alone,
+    the tied ones sorted in Python by the documented keys."""
+    grid = sorted(float(g) for g in grid)
+    lam = np.full(L, grid[0])
+    eta = np.full(L, grid[0])
+    for i in np.flatnonzero(q_hat.row_mask()):
+        scored = []
+        for lv in grid if i < L else [0.0]:
+            for ev in grid if i >= 1 else [0.0]:
+                row = transition_rows_grid(L, i, [lv], [ev])
+                scored.append((float(((row - q_hat.entries[i]) ** 2).sum()), lv, ev))
+        min_val = min(s[0] for s in scored)
+        ties = [s for s in scored if s[0] <= min_val + 1e-15]
+        if L % 2 == 0 and i == L // 2:
+            ties.sort(key=lambda s: (s[1] < 1.0 - s[2], s[1], s[2]))
+        else:
+            ties.sort(key=lambda s: (s[1], s[2]))
+        _, best_lam, best_eta = ties[0]
+        if i < L:
+            lam[i] = best_lam
+        if i >= 1:
+            eta[i - 1] = best_eta
+    return ParamVector(L, lam, eta)
+
+
+@st.composite
+def q_hats(draw):
+    """(L, Q-hat) for L = 1..6: exact matrices of truths on the grid, of
+    truths whose middle row is the minus mirror of a grid point (so the grid
+    ties across branches), or of interior truths; or the frequencies of a
+    short trace of sticky channels.  Rows may be masked on top."""
+    L = draw(st.integers(min_value=1, max_value=6))
+    kind = draw(st.sampled_from(["grid", "mirror", "interior", "sticky"]))
+    if kind == "sticky":
+        stay = st.floats(min_value=0.95, max_value=0.999)
+        theta = ParamVector(L, draw(st.lists(stay, min_size=L, max_size=L)),
+                            draw(st.lists(stay, min_size=L, max_size=L)))
+        values = simulate_vnd(theta, draw(st.integers(min_value=2, max_value=300)),
+                              seed=draw(st.integers(min_value=0, max_value=2**32 - 1))).sums
+        q_hat = empirical_transition_matrix(values, L=L)
+    else:
+        unit = (st.floats(min_value=0.02, max_value=0.98) if kind == "interior"
+                else st.sampled_from(DEFAULT_GRID))
+        lam = np.array(draw(st.lists(unit, min_size=L, max_size=L)))
+        eta = np.array(draw(st.lists(unit, min_size=L, max_size=L)))
+        if kind == "mirror" and L % 2 == 0:
+            half = L // 2
+            if lam[half] + eta[half - 1] > 1.0:
+                lam[half], eta[half - 1] = 1.0 - eta[half - 1], 1.0 - lam[half]
+        q_hat = sum_transition_matrix(ParamVector(L, lam, eta))
+    keep = q_hat.row_mask() & ~np.array(draw(st.lists(st.booleans(), min_size=L + 1,
+                                                       max_size=L + 1)))
+    entries = np.where(keep[:, None], q_hat.entries, np.nan)
+    return L, TransitionMatrix(entries, row_counts=keep.astype(int))
 
 
 def reference_row_solve(L, i, target, lam_i, eta_i, branch_sign):
@@ -145,6 +205,32 @@ class TestMdeObjective:
             mde_objective(ParamVector(2, [0.5, 0.5], [0.5, 0.5]), small)
 
 
+class TestRowResidual:
+    @given(L=st.integers(min_value=1, max_value=20), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_candidate_scores_the_same_alone_and_in_a_batch(self, L, data):
+        # the objective scores one candidate, the grid start and the row
+        # solves whole batches; their values must compare exactly
+        i = data.draw(st.integers(min_value=0, max_value=L))
+        unit = st.floats(min_value=0.0, max_value=1.0)
+        n = data.draw(st.integers(min_value=2, max_value=200))
+        lam = np.array(data.draw(st.lists(unit, min_size=n, max_size=n)))
+        eta = np.array(data.draw(st.lists(unit, min_size=n, max_size=n)))
+        target = transition_rows_grid(L, i, [data.draw(unit)], [data.draw(unit)])[0]
+        batch = _grid_residuals(L, i, target, lam, eta, None)
+        alone = [_grid_residuals(L, i, target, lam[k:k + 1], eta[k:k + 1], None)[0]
+                 for k in range(n)]
+        assert batch.tobytes() == np.array(alone).tobytes()
+
+    def test_objective_rows_use_the_row_residual(self):
+        theta = ParamVector(3, [0.95, 0.9, 0.85], [0.8, 0.9, 0.97])
+        q_hat = empirical_transition_matrix(simulate_vnd(theta, 500, seed=7).sums, L=3)
+        fit = mde_fit(q_hat, 3)
+        for i, reported in enumerate(fit.diagnostics["row_residuals"]):
+            li, ei = _row_params(fit.theta_hat, i)
+            assert reported == _grid_residuals(3, i, q_hat.entries[i], [li], [ei], None)[0]
+
+
 class TestGridInit:
     def test_recovers_on_grid_point(self):
         theta = ParamVector(1, [0.7], [0.3])
@@ -186,6 +272,18 @@ class TestGridInit:
         assert init.lam[0] == 0.5
         assert init.eta[0] == 0.5
 
+    @given(case=q_hats(), data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_one_candidate_at_a_time(self, case, data):
+        L, q_hat = case
+        assert grid_init(q_hat, L).flat.tobytes() == reference_grid_init(q_hat, L).flat.tobytes()
+        grid = data.draw(st.lists(st.floats(min_value=0.01, max_value=0.99).map(
+            lambda v: round(v, 2)), min_size=1, max_size=6))
+        if data.draw(st.booleans()):
+            grid += [1.0 - v for v in grid]  # mirror pairs on the middle row
+        assert (grid_init(q_hat, L, grid).flat.tobytes()
+                == reference_grid_init(q_hat, L, grid).flat.tobytes())
+
 
 class TestMdeFit:
     def test_exact_recovery_odd_L(self):
@@ -215,6 +313,24 @@ class TestMdeFit:
         q_hat = empirical_transition_matrix(trace.sums, L=2)
         res = mde_fit(q_hat, 2)
         assert res.objective <= res.diagnostics["grid_objective"] + 1e-15
+
+    @given(case=q_hats())
+    @settings(max_examples=40, deadline=None)
+    def test_never_worse_than_grid_start(self, case):
+        # every row's solve keeps its grid value, scored by the same row
+        # residual as the objective; a forced branch keeps it only when the
+        # grid's middle row lies on that branch
+        L, q_hat = case
+        start = grid_init(q_hat, L)
+        half = L // 2
+        on_branch = {"auto": True, "plus": True, "minus": True}
+        if L % 2 == 0 and q_hat.row_mask()[half]:
+            gap = start.lam[half] - 1.0 + start.eta[half - 1]
+            on_branch.update(plus=gap >= 0, minus=-gap >= 0)
+        for branch, kept in on_branch.items():
+            res = mde_fit(q_hat, L, branch=branch)
+            if kept:
+                assert res.objective <= res.diagnostics["grid_objective"]
 
     def test_underdetermined_flagged(self):
         trace = DiscreteTrace(values=np.full(30, 1), ladder=ladder(2))

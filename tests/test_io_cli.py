@@ -388,6 +388,46 @@ class TestCli:
         assert result.exit_code == 2
         assert "no samples" in result.output
 
+    @staticmethod
+    def _staged_inputs(tmp_path):
+        theta = ParamVector.from_flat([0.9, 0.9, 0.9, 0.9])
+        trace = DiscreteTrace(values=simulate_vnd(theta, 2000, seed=4).sums,
+                              ladder=LevelLadder(L=2, offset=0.0, spacing=1.0))
+        cio.write_discrete(trace, 1000.0, tmp_path / "discrete.csv")
+        ideal = Idealisation(fit=StepFunction([0.0, 0.5, 1.25, 2.0], [0.0, 1.0, 0.5]),
+                             alpha=0.1, n_switches=2, feasible=True, sample_rate=1000.0)
+        cio.write_idealisation(ideal, tmp_path / "idealisation.csv")
+        return {"discretise": tmp_path / "idealisation.csv",
+                "infer": tmp_path / "discrete.csv",
+                "markov-test": tmp_path / "discrete.csv",
+                "dwell": tmp_path / "discrete.csv"}
+
+    def test_blank_line_in_staged_input_is_skipped(self, runner, tmp_path):
+        # the staged readers skip blank lines as read_recording does, so a
+        # blank line after row 4 reads to the same report
+        src = self._staged_inputs(tmp_path)["infer"]
+        gap = tmp_path / "gap" / "discrete.csv"
+        gap.parent.mkdir()
+        lines = src.read_text().splitlines(keepends=True)
+        gap.write_text("".join(lines[:5] + ["\n"] + lines[5:]))
+        gap.with_suffix(".meta.json").write_bytes(src.with_suffix(".meta.json").read_bytes())
+        for path, out in ((src, tmp_path / "a"), (gap, tmp_path / "b")):
+            result = runner.invoke(main, ["infer", "--input", str(path), "--out", str(out)])
+            assert result.exit_code == 0, result.output
+        assert read_bytes(tmp_path / "a" / "report.json") == \
+            read_bytes(tmp_path / "b" / "report.json")
+
+    @pytest.mark.parametrize("command", ["discretise", "infer", "markov-test", "dwell"])
+    def test_one_column_row_exit_code(self, runner, tmp_path, command):
+        src = self._staged_inputs(tmp_path)[command]
+        lines = src.read_text().splitlines(keepends=True)
+        lines[2] = lines[2].split(",")[0] + "\n"
+        src.write_text("".join(lines))
+        result = runner.invoke(main, [command, "--input", str(src), "--out",
+                                      str(tmp_path / "out")])
+        assert result.exit_code == 2
+        assert "cannot read" in result.output
+
     def test_stage_failure_keeps_partial_artifacts(self, runner, tmp_path):
         # a one-sample recording idealises fine but cannot be fitted; the
         # pipeline exits 4 leaving the artifacts produced up to that point
