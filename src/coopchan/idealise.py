@@ -140,14 +140,16 @@ class _Segmenter:
         self.scales: list[_ScaleWindows] = []
         # deviation scales double as the tie-break objective and are not
         # level-calibrated, so every dyadic length from 2 up participates
-        self.dev_scales: list[tuple[int, int]] = []
+        lengths = []
         length = 2
         while length <= self.nd:
             lo, up = self.bounds.bounds(length)
             if lo >= 1 or up <= length - 1:
                 self.scales.append(_ScaleWindows(self.yd, length, lo, up))
-            self.dev_scales.append((length, max(1, length // 2)))
+            lengths.append(length)
             length *= 2
+        self.dev_lengths = np.array(lengths, dtype=np.int64)
+        self.dev_steps = self.dev_lengths // 2
 
     @classmethod
     def from_recording(cls, recording: Recording, alpha: float) -> "_Segmenter":
@@ -167,10 +169,16 @@ class _Segmenter:
         return min(a + self.d, b)
 
     def level(self, a: int, b: int) -> float:
+        """Median of the tested samples, or of [a, b) if none is tested.
+        Bit for bit np.median, whose mean sums from +0.0 (so -0.0 turns
+        into +0.0), without its per-call overhead."""
         s = self.test_start(a, b)
-        if s >= b:
-            return float(np.median(self.y[a:b]))
-        return float(np.median(self.y[s:b]))
+        x = self.y[a:b] if s >= b else self.y[s:b]
+        h = len(x) // 2
+        if len(x) % 2:
+            return float(np.partition(x, h)[h]) + 0.0
+        p = np.partition(x, (h - 1, h))
+        return (0.0 + float(p[h - 1]) + float(p[h])) / 2
 
     def _dec_range(self, a: int, b: int) -> tuple[int, int]:
         s = self.test_start(a, b)
@@ -191,6 +199,22 @@ class _Segmenter:
             rel = starts - lo
             return (p_lt[rel + length] - p_lt[rel]) + 0.5 * (p_eq[rel + length] - p_eq[rel])
         return count
+
+    def _window_deviations(self, j0: np.ndarray, j1: np.ndarray, c: float):
+        """Every grid window of every deviation scale whose grid index on
+        that scale lies in [j0, j1] (one entry per scale), with its
+        deviation |count - length/2| at level c: (starts, ends, deviations)
+        in decimated indices, all from one counter."""
+        n_win = np.maximum(j1 - j0 + 1, 0)
+        lengths = np.repeat(self.dev_lengths, n_win)
+        first = np.cumsum(n_win) - n_win
+        index = np.arange(len(lengths)) - np.repeat(first - j0, n_win)
+        starts = index * np.repeat(self.dev_steps, n_win)
+        ends = starts + lengths
+        if not len(starts):
+            return starts, ends, np.empty(0)
+        cnt = self._counter(int(starts.min()), int(ends.max()), c)(starts, lengths)
+        return starts, ends, np.abs(cnt - lengths / 2.0)
 
     # -- feasibility ----------------------------------------------------------
 
@@ -223,24 +247,17 @@ class _Segmenter:
 
     def deviation(self, a: int, b: int, c: float | None = None) -> float:
         """Sum over tested windows of |count - length/2|; the tie-break
-        objective among minimal-switch fits."""
+        objective among minimal-switch fits.  Every term is a half-integer,
+        so the sum is exact in any order."""
         if c is None:
             c = self.level(a, b)
         sd, bd = self._dec_range(a, b)
         if bd - sd <= 1:
             return 0.0
-        count = self._counter(sd, bd, c)
-        total = 0.0
-        for length, step in self.dev_scales:
-            if length > bd - sd:
-                break
-            j0 = -(-sd // step)
-            j1 = (bd - length) // step
-            if j1 < j0:
-                continue
-            cnt = count(np.arange(j0, j1 + 1) * step, length)
-            total += float(np.abs(cnt - length / 2.0).sum())
-        return total
+        steps = self.dev_steps
+        # scales longer than bd - sd get j1 < j0, hence no windows
+        _, _, devs = self._window_deviations(-(-sd // steps), (bd - self.dev_lengths) // steps, c)
+        return float(devs.sum())
 
     # -- engines --------------------------------------------------------------
 
@@ -325,22 +342,12 @@ class _Segmenter:
 
     # -- boundary refinement ---------------------------------------------------
 
-    def _side_deviations(self, length: int, step: int, c: float, u_lo: int, u_hi: int):
-        """Deviation of each grid window of one scale with start in
-        [u_lo, u_hi] (decimated indices), evaluated at level c."""
-        j0 = -(-u_lo // step)
-        j1 = u_hi // step
-        if j1 < j0:
-            return np.empty(0, dtype=np.int64), np.empty(0)
-        starts = np.arange(j0, j1 + 1) * step
-        cnt = self._counter(int(starts.min()), int(starts.max()) + length, c)(starts, length)
-        return starts, np.abs(cnt - length / 2.0)
-
     def refine_boundary(self, a0: int, b0: int, b1: int, halfwidth: int) -> int:
         """Slide the boundary b0 within [b0 - halfwidth, b0 + halfwidth] to
         the position minimizing the local window deviation, keeping both
         segments feasible.  Ties prefer the smallest shift, then the earlier
-        position."""
+        position.  Each side scores the windows of all scales with one
+        counter; deviations are half-integers, so the sums are exact."""
         lo_b = max(a0 + 1, b0 - halfwidth)
         hi_b = min(b1 - 1, b0 + halfwidth)
         if hi_b <= lo_b:
@@ -351,33 +358,26 @@ class _Segmenter:
         s_left = self.test_start(a0, b0)
         sd_left = -(-s_left // kappa)
         bd_right = -(-b1 // kappa)
+        lengths, steps = self.dev_lengths, self.dev_steps
 
         cands = np.arange(lo_b, hi_b + 1)
         cand_end_d = -(-cands // kappa)            # left tested region ends here
         cand_start_d = -(-(cands + self.d) // kappa)  # right tested region starts here
 
-        total = np.zeros(len(cands))
-        for length, step in self.dev_scales:
-            # left side: windows inside [sd_left, cand_end_d)
-            u_lo = max(sd_left, int(cand_end_d.min()) - length + 1 - step)
-            u_hi = min(int(cand_end_d.max()) - length, self.nd - length)
-            starts, devs = self._side_deviations(length, step, c_left, u_lo, u_hi)
-            if len(starts):
-                ends = starts + length
-                order = np.argsort(ends, kind="stable")
-                cum = np.concatenate([[0.0], np.cumsum(devs[order])])
-                pos = np.searchsorted(ends[order], cand_end_d, side="right")
-                total += cum[pos]
-            # right side: windows inside [cand_start_d, bd_right)
-            u_lo = int(cand_start_d.min())
-            u_hi = min(int(cand_start_d.max()) + step, bd_right - length)
-            starts, devs = self._side_deviations(length, step, c_right, u_lo, u_hi)
-            if len(starts):
-                order = np.argsort(starts, kind="stable")
-                sorted_starts = starts[order]
-                suffix = np.concatenate([np.cumsum(devs[order][::-1])[::-1], [0.0]])
-                pos = np.searchsorted(sorted_starts, cand_start_d, side="left")
-                total += suffix[pos]
+        # left side: windows inside [sd_left, cand_end_d), summed by end
+        u_lo = np.maximum(sd_left, int(cand_end_d.min()) - lengths + 1 - steps)
+        u_hi = np.minimum(int(cand_end_d.max()) - lengths, self.nd - lengths)
+        _, ends, devs = self._window_deviations(-(-u_lo // steps), u_hi // steps, c_left)
+        order = np.argsort(ends)
+        cum = np.concatenate([[0.0], np.cumsum(devs[order])])
+        total = cum[np.searchsorted(ends[order], cand_end_d, side="right")]
+        # right side: windows inside [cand_start_d, bd_right), summed by start
+        u_hi = np.minimum(int(cand_start_d.max()) + steps, bd_right - lengths)
+        starts, _, devs = self._window_deviations(
+            -(-int(cand_start_d.min()) // steps), u_hi // steps, c_right)
+        order = np.argsort(starts)
+        suffix = np.concatenate([np.cumsum(devs[order][::-1])[::-1], [0.0]])
+        total += suffix[np.searchsorted(starts[order], cand_start_d, side="left")]
 
         shift = np.abs(cands - b0)
         best = int(np.lexsort((cands, shift, total))[0])

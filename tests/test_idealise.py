@@ -248,24 +248,158 @@ def recount_feasible(prob, a, b):
     return True
 
 
+def recount_deviation(prob, a, b):
+    """Sum of |count - length/2| over every tested grid window of every
+    dyadic scale of segment [a, b) at the segment level, ties counted as
+    halves, in exact arithmetic."""
+    c = prob.level(a, b)
+    s = 0 if a == 0 else min(a + prob.d, b)
+    sd, bd = -(-s // prob.stride), -(-b // prob.stride)
+    total = Fraction(0)
+    length = 2
+    while length <= bd - sd:
+        step = length // 2
+        for start in range(-(-sd // step) * step, bd - length + 1, step):
+            window = prob.yd[start:start + length]
+            count = Fraction(int(np.sum(window < c))) + Fraction(int(np.sum(window == c)), 2)
+            total += abs(count - Fraction(length, 2))
+        length *= 2
+    return total
+
+
+def reference_refine_boundary(prob, a0, b0, b1, halfwidth):
+    """The boundary refinement scored one dyadic scale at a time, with one
+    window counter per scale and side."""
+    lo_b = max(a0 + 1, b0 - halfwidth)
+    hi_b = min(b1 - 1, b0 + halfwidth)
+    if hi_b <= lo_b:
+        return b0
+    kappa = prob.stride
+    c_left = prob.level(a0, b0)
+    c_right = prob.level(b0, b1)
+    sd_left = -(-prob.test_start(a0, b0) // kappa)
+    bd_right = -(-b1 // kappa)
+    cands = np.arange(lo_b, hi_b + 1)
+    cand_end_d = -(-cands // kappa)
+    cand_start_d = -(-(cands + prob.d) // kappa)
+
+    def side_deviations(length, step, c, u_lo, u_hi):
+        j0 = -(-u_lo // step)
+        j1 = u_hi // step
+        if j1 < j0:
+            return np.empty(0, dtype=np.int64), np.empty(0)
+        starts = np.arange(j0, j1 + 1) * step
+        cnt = prob._counter(int(starts.min()), int(starts.max()) + length, c)(starts, length)
+        return starts, np.abs(cnt - length / 2.0)
+
+    total = np.zeros(len(cands))
+    length = 2
+    while length <= prob.nd:
+        step = length // 2
+        u_lo = max(sd_left, int(cand_end_d.min()) - length + 1 - step)
+        u_hi = min(int(cand_end_d.max()) - length, prob.nd - length)
+        starts, devs = side_deviations(length, step, c_left, u_lo, u_hi)
+        if len(starts):
+            ends = starts + length
+            order = np.argsort(ends, kind="stable")
+            cum = np.concatenate([[0.0], np.cumsum(devs[order])])
+            total += cum[np.searchsorted(ends[order], cand_end_d, side="right")]
+        u_lo = int(cand_start_d.min())
+        u_hi = min(int(cand_start_d.max()) + step, bd_right - length)
+        starts, devs = side_deviations(length, step, c_right, u_lo, u_hi)
+        if len(starts):
+            order = np.argsort(starts, kind="stable")
+            suffix = np.concatenate([np.cumsum(devs[order][::-1])[::-1], [0.0]])
+            total += suffix[np.searchsorted(starts[order], cand_start_d, side="left")]
+        length *= 2
+
+    best = int(np.lexsort((cands, np.abs(cands - b0), total))[0])
+    b_new = int(cands[best])
+    if b_new != b0 and prob.feasible(a0, b_new) and prob.feasible(b_new, b1):
+        return b_new
+    return b0
+
+
+def tie_heavy_segmenter(n, stride, d, alpha, seed):
+    # integer-valued steps plus integer noise make ties with the segment
+    # median common
+    rng = np.random.default_rng(seed)
+    y = np.repeat(rng.integers(0, 3, n // 20 + 1), 20)[:n] + rng.integers(-2, 3, n)
+    return rng, _Segmenter(y.astype(float), d=d, stride=stride, alpha=alpha)
+
+
+tie_heavy_inputs = dict(
+    n=st.integers(min_value=40, max_value=200),
+    stride=st.integers(min_value=1, max_value=3),
+    d=st.integers(min_value=0, max_value=6),
+    alpha=st.sampled_from([0.05, 0.1, 0.3]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+
+
 class TestFeasibility:
-    @given(
-        n=st.integers(min_value=40, max_value=200),
-        stride=st.integers(min_value=1, max_value=3),
-        d=st.integers(min_value=0, max_value=6),
-        alpha=st.sampled_from([0.05, 0.1, 0.3]),
-        seed=st.integers(min_value=0, max_value=2**32 - 1),
-    )
+    @given(**tie_heavy_inputs)
     @settings(max_examples=150, deadline=None)
     def test_feasible_matches_window_recount(self, n, stride, d, alpha, seed):
-        # integer-valued steps plus integer noise make ties with the
-        # segment median common
-        rng = np.random.default_rng(seed)
-        y = np.repeat(rng.integers(0, 3, n // 20 + 1), 20)[:n] + rng.integers(-2, 3, n)
-        prob = _Segmenter(y.astype(float), d=d, stride=stride, alpha=alpha)
+        rng, prob = tie_heavy_segmenter(n, stride, d, alpha, seed)
         for _ in range(20):
             a, b = sorted(int(v) for v in rng.choice(n + 1, 2, replace=False))
             assert prob.feasible(a, b) == recount_feasible(prob, a, b), (a, b)
+
+    @given(**tie_heavy_inputs)
+    @settings(max_examples=100, deadline=None)
+    def test_deviation_matches_window_recount(self, n, stride, d, alpha, seed):
+        # pins the exact engine's tie-break objective
+        rng, prob = tie_heavy_segmenter(n, stride, d, alpha, seed)
+        for _ in range(10):
+            a, b = sorted(int(v) for v in rng.choice(n + 1, 2, replace=False))
+            assert prob.deviation(a, b) == recount_deviation(prob, a, b), (a, b)
+
+    @given(**tie_heavy_inputs)
+    @settings(max_examples=150, deadline=None)
+    def test_refine_boundary_matches_per_scale_reference(self, n, stride, d, alpha, seed):
+        rng, prob = tie_heavy_segmenter(n, stride, d, alpha, seed)
+        for _ in range(20):
+            a0, b0, b1 = sorted(int(v) for v in rng.choice(n + 1, 3, replace=False))
+            halfwidth = int(rng.integers(1, 65))
+            assert (prob.refine_boundary(a0, b0, b1, halfwidth)
+                    == reference_refine_boundary(prob, a0, b0, b1, halfwidth)), (a0, b0, b1)
+
+
+class TestLevel:
+    special = [0.0, -0.0, 1.0, -1.0, 2.5, 5e-324, -5e-324, 1e-310, -2.2e-308,
+               1.7e308, -1.7e308, 1e300, -3.0]
+
+    @given(
+        values=st.lists(st.sampled_from(special), min_size=1, max_size=40),
+        d=st.integers(min_value=0, max_value=45),
+        data=st.data(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_level_is_np_median_bit_for_bit(self, values, d, data):
+        y = np.array(values)
+        n = len(y)
+        a = data.draw(st.integers(min_value=0, max_value=n - 1))
+        b = data.draw(st.integers(min_value=a + 1, max_value=n))
+        prob = _Segmenter(y, d=d, stride=1, alpha=0.1)
+        s = prob.test_start(a, b)
+        tested = y[a:b] if s >= b else y[s:b]
+        with np.errstate(over="ignore"):
+            expected = float(np.median(tested))
+        assert np.float64(prob.level(a, b)).tobytes() == np.float64(expected).tobytes()
+
+    @pytest.mark.parametrize("values, a, b, d, expected", [
+        ([-0.0], 0, 1, 0, 0.0),                 # odd: the sum from +0.0 drops the sign
+        ([-0.0, -0.0], 0, 2, 0, 0.0),           # even, both middle values -0.0
+        ([-5e-324, 0.0], 0, 2, 0, -0.0),        # even: the halved sum rounds to -0.0
+        ([1.7e308, 1.7e308], 0, 2, 0, math.inf),  # the middle sum overflows
+        ([9.0, 1.0, 2.0, 3.0], 1, 3, 5, 1.5),   # nothing tested: median over [a, b)
+        ([9.0, 1.0, 2.0, 3.0], 1, 4, 1, 2.5),   # tested slice [2, 4)
+    ])
+    def test_level_edge_cases(self, values, a, b, d, expected):
+        prob = _Segmenter(np.array(values), d=d, stride=1, alpha=0.1)
+        got = prob.level(a, b)
+        assert np.float64(got).tobytes() == np.float64(expected).tobytes()
 
 
 class TestEmpiricalFdr:
@@ -331,3 +465,44 @@ class TestScaling:
             assert probed <= 16 * n
             per_sample.append(probed / n)
         assert per_sample[1] <= 1.2 * per_sample[0]
+
+    def test_refinement_builds_two_counters_per_boundary(self, monkeypatch):
+        # counts, not timings: one window counter per side scores every
+        # dyadic scale; the closing feasibility re-check is not counted
+        theta = ParamVector.constant(3, 0.998, 0.998)
+        kernel = make_kernel("bessel", 10_000.0, cutoff=2_500.0)
+        rec = synthesize_recording(theta, 10_000, 10_000.0, kernel=kernel,
+                                   noise=NoiseSpec("gaussian", sigma=0.1), seed=11)
+        counter, feasible, refine = (_Segmenter._counter, _Segmenter.feasible,
+                                     _Segmenter.refine_boundary)
+        per_boundary = []
+        counting = False
+
+        def counting_counter(self, lo, hi, c):
+            if counting:
+                per_boundary[-1] += 1
+            return counter(self, lo, hi, c)
+
+        def uncounted_feasible(self, a, b, c=None):
+            nonlocal counting
+            outer, counting = counting, False
+            try:
+                return feasible(self, a, b, c)
+            finally:
+                counting = outer
+
+        def counted_refine(self, *args):
+            nonlocal counting
+            per_boundary.append(0)
+            counting = True
+            try:
+                return refine(self, *args)
+            finally:
+                counting = False
+
+        monkeypatch.setattr(_Segmenter, "_counter", counting_counter)
+        monkeypatch.setattr(_Segmenter, "feasible", uncounted_feasible)
+        monkeypatch.setattr(_Segmenter, "refine_boundary", counted_refine)
+        muscle_fit(rec, alpha=0.1)
+        assert len(per_boundary) >= 20
+        assert max(per_boundary) <= 2
