@@ -249,7 +249,6 @@ def _pipeline_once(rec, resolved, out: Path, L_override, suffix=""):
         tolerance=float(resolved.get("tolerance", 1e-3)),
         stage_hook=persist_stage,
     )
-    counts, edges = level_histogram(result.idealisation, rec.sample_rate)
     cio.dump_json(
         cio.report_to_dict(result.report, result.fit.diagnostics, result.fit.objective,
                            metrics={**result.metrics, "selected_L": result.selected_L,
@@ -258,6 +257,7 @@ def _pipeline_once(rec, resolved, out: Path, L_override, suffix=""):
     if resolved.get("want_plots"):
         _plot_idealisation(out / f"trace{suffix}.svg", rec, result.idealisation,
                            "recording and idealisation")
+        counts, edges = level_histogram(result.idealisation, rec.sample_rate)
         plots.svg_hist(out / f"levels{suffix}.svg", edges, counts,
                        title="idealised conductance levels")
     return result

@@ -71,12 +71,11 @@ def level_groups(levels, gap_factor: float = 3.0, max_groups: int = 21,
     return _merge_stray_groups(groups, group_weights)
 
 
-def _merge_stray_groups(groups, group_weights, min_share: float = 0.02,
-                        closeness: float = 0.75):
+def _merge_stray_groups(groups, group_weights):
     """Fold groups that a histogram reader would not see as peaks into their
-    nearest neighbour: negligible total weight and closer than a typical
-    inter-group gap.  Distant light groups (rarely visited ladder rungs)
-    survive."""
+    nearest neighbour: under 2% of the total weight and closer than three
+    quarters of the median inter-group gap.  Distant light groups (rarely
+    visited ladder rungs) survive."""
     while len(groups) > 1:
         centroids = np.array([float(np.mean(g)) for g in groups])
         weights = np.asarray(group_weights, dtype=float)
@@ -91,7 +90,7 @@ def _merge_stray_groups(groups, group_weights, min_share: float = 0.02,
             if j < len(groups) - 1:
                 dists.append((gaps[j], j + 1))
             dist, neighbour = min(dists)
-            if shares[j] < min_share and dist < closeness * typical:
+            if shares[j] < 0.02 and dist < 0.75 * typical:
                 candidates.append((shares[j], j, neighbour))
         if not candidates:
             break
@@ -107,11 +106,6 @@ def select_L(levels, weights=None, max_L: int = 20, gap_factor: float = 3.0) -> 
     clamped to [1, max_L]."""
     groups = level_groups(levels, gap_factor, max_groups=max_L + 1, weights=weights)
     return int(np.clip(len(groups) - 1, 1, max_L))
-
-
-def _assign(levels: np.ndarray, L: int, offset: float, spacing: float) -> np.ndarray:
-    t = (levels - offset) / spacing
-    return np.clip(np.ceil(t - 0.5).astype(np.int64), 0, L)
 
 
 def _weighted_ls(levels, weights, idx):
@@ -132,7 +126,7 @@ def _weighted_ls(levels, weights, idx):
 
 
 def _sse(levels, weights, L, offset, spacing):
-    idx = _assign(levels, L, offset, spacing)
+    idx = LevelLadder(L, offset, spacing).nearest_rung(levels)
     resid = levels - (offset + spacing * idx)
     return float((weights * resid * resid).sum()), idx
 
@@ -166,12 +160,12 @@ def grid_sse(levels, weights, L, offsets, spacings) -> np.ndarray:
     return (weights[None, :] * resid * resid).sum(axis=1), off, spc
 
 
-def equal_spacing_cluster(levels, weights=None, L: int = 1, n_polish: int = 20) -> LevelLadder:
+def equal_spacing_cluster(levels, weights=None, L: int = 1) -> LevelLadder:
     """Fit rungs offset + i*spacing, i = 0..L, minimizing the weighted sum of
     squared deviations of each level from its nearest rung.
 
     A candidate grid of (offset, spacing) pairs built from the data range
-    (hence affine equivariant) is scanned, and the best candidates are
+    (hence affine equivariant) is scanned, and the 20 best candidates are
     polished by alternating nearest-rung assignment and weighted least
     squares; the lowest polished SSE wins.
     """
@@ -195,7 +189,7 @@ def equal_spacing_cluster(levels, weights=None, L: int = 1, n_polish: int = 20) 
     offset_cands = lo + span * np.linspace(-0.25, 0.35, 25)
 
     sse, off, spc = grid_sse(levels, weights, L, offset_cands, spacing_cands)
-    order = np.argsort(sse, kind="stable")[:n_polish]
+    order = np.argsort(sse, kind="stable")[:20]
     best_sse, best = np.inf, None
     for k in order:
         polished_sse, fit = _polish(levels, weights, L, float(off[k]), float(spc[k]))

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.stats import binom
@@ -34,50 +35,28 @@ class InvalidAlpha(ValueError):
     pass
 
 
-class SignBounds:
-    """Two-sided sign-count bounds for windows of a length-n sequence.
+@lru_cache(maxsize=1024)
+def sign_bounds(alpha: float, n: int, m: int) -> tuple[int, int]:
+    """Two-sided sign-count bounds (lower, m - lower) for a window of length
+    m in a length-n sequence.
 
-    For window length m the admissible count is [lower(m), upper(m)] with
-    lower = max{q : P(Bin(m, 1/2) < q) <= alpha_m / 2} and upper = m - lower,
-    where alpha_m = alpha * m / (2 * D * n) spreads the level over the D
-    dyadic scales and the ~2n/m half-overlapping windows per scale.
+    lower = max{q : P(Bin(m, 1/2) < q) <= alpha_m / 2}, where
+    alpha_m = alpha * m / (2 * D * n) spreads the level over the
+    D = floor(log2 n) + 1 dyadic scales and the ~2n/m half-overlapping
+    windows per scale.  Cached, since every segmenter of one decimated
+    length asks for the same bounds.
     """
-
-    def __init__(self, alpha: float, n: int):
-        if not 0.0 < alpha < 1.0:
-            raise InvalidAlpha(f"alpha = {alpha!r} must be in (0, 1)")
-        if n < 1:
-            raise ValueError("n must be >= 1")
-        self.alpha = float(alpha)
-        self.n = int(n)
-        self.n_scales = int(math.floor(math.log2(self.n))) + 1
-        self._cache: dict[int, tuple[int, int]] = {}
-
-    def level(self, m: int) -> float:
-        """Per-window test level alpha_m."""
-        if not 1 <= m <= self.n:
-            raise ValueError(f"window length {m} outside 1..{self.n}")
-        return self.alpha * m / (2.0 * self.n_scales * self.n)
-
-    def bounds(self, m: int) -> tuple[int, int]:
-        got = self._cache.get(m)
-        if got is None:
-            a2 = self.level(m) / 2.0
-            t = int(binom.ppf(a2, m, 0.5))
-            while t >= 0 and binom.cdf(t, m, 0.5) > a2:
-                t -= 1
-            while binom.cdf(t + 1, m, 0.5) <= a2:
-                t += 1
-            lower = t + 1
-            got = (lower, m - lower)
-            self._cache[m] = got
-        return got
-
-    def lower(self, m: int) -> int:
-        return self.bounds(m)[0]
-
-    def upper(self, m: int) -> int:
-        return self.bounds(m)[1]
+    if not 0.0 < alpha < 1.0:
+        raise InvalidAlpha(f"alpha = {alpha!r} must be in (0, 1)")
+    if not 1 <= m <= n:
+        raise ValueError(f"window length {m} outside 1..{n}")
+    a2 = float(alpha) * m / (2.0 * (math.floor(math.log2(n)) + 1) * n) / 2.0
+    t = int(binom.ppf(a2, m, 0.5))
+    while t >= 0 and binom.cdf(t, m, 0.5) > a2:
+        t -= 1
+    while binom.cdf(t + 1, m, 0.5) <= a2:
+        t += 1
+    return t + 1, m - t - 1
 
 
 @dataclass(frozen=True)
@@ -100,32 +79,6 @@ class Idealisation:
             raise ValueError("n_switches must equal the number of level changes")
 
 
-class _ScaleWindows:
-    """Precomputed order-statistic cuts for the grid windows of one dyadic
-    scale on the decimated sequence."""
-
-    __slots__ = ("length", "step", "lo", "up", "lowcut", "highcut", "n_windows")
-
-    def __init__(self, yd: np.ndarray, length: int, lo: int, up: int):
-        self.length = length
-        self.step = max(1, length // 2)
-        self.lo = lo
-        self.up = up
-        windows = np.lib.stride_tricks.sliding_window_view(yd, length)[::self.step]
-        self.n_windows = windows.shape[0]
-        ranks = []
-        if lo >= 1:
-            ranks.append(lo - 1)
-        if up <= length - 1:
-            ranks.append(up)
-        part = np.partition(windows, ranks, axis=1)
-        # a level c with lowcut < c < highcut has >= lo samples below it and
-        # <= up samples at or below it, so its count is feasible whatever the
-        # ties; c == highcut can put a tie at rank up, so it is counted
-        self.lowcut = part[:, lo - 1] if lo >= 1 else np.full(self.n_windows, -np.inf)
-        self.highcut = part[:, up] if up <= length - 1 else np.full(self.n_windows, np.inf)
-
-
 class _Segmenter:
     """Shared feasibility/deviation machinery on one recording."""
 
@@ -136,16 +89,25 @@ class _Segmenter:
         self.stride = max(1, int(stride))
         self.yd = self.y[:: self.stride]
         self.nd = len(self.yd)
-        self.bounds = SignBounds(alpha, self.nd)
-        self.scales: list[_ScaleWindows] = []
-        # deviation scales double as the tie-break objective and are not
-        # level-calibrated, so every dyadic length from 2 up participates
+        if not 0.0 < alpha < 1.0:
+            raise InvalidAlpha(f"alpha = {alpha!r} must be in (0, 1)")
+        # (length, step, lower, lowcut, highcut) per calibrated scale, with the
+        # order-statistic cuts of its grid windows on the decimated sequence:
+        # a level c with lowcut < c < highcut has >= lower samples below it
+        # and <= length - lower at or below it, so its count is feasible
+        # whatever the ties; c == highcut can put a tie at that rank, so it
+        # is counted.  Deviation scales double as the tie-break objective and
+        # are not level-calibrated, so every dyadic length from 2 up is one.
+        self.scales = []
         lengths = []
         length = 2
         while length <= self.nd:
-            lo, up = self.bounds.bounds(length)
-            if lo >= 1 or up <= length - 1:
-                self.scales.append(_ScaleWindows(self.yd, length, lo, up))
+            lower, upper = sign_bounds(alpha, self.nd, length)
+            if lower >= 1:
+                step = length // 2
+                windows = np.lib.stride_tricks.sliding_window_view(self.yd, length)[::step]
+                part = np.partition(windows, [lower - 1, upper], axis=1)
+                self.scales.append((length, step, lower, part[:, lower - 1], part[:, upper]))
             lengths.append(length)
             length *= 2
         self.dev_lengths = np.array(lengths, dtype=np.int64)
@@ -225,23 +187,21 @@ class _Segmenter:
         if bd - sd <= 1:
             return True
         count = None
-        for sw in self.scales:
-            if sw.length > bd - sd:
+        for length, step, lower, lowcut, highcut in self.scales:
+            if length > bd - sd:
                 break
-            j0 = -(-sd // sw.step)
-            j1 = min((bd - sw.length) // sw.step, sw.n_windows - 1)
+            j0 = -(-sd // step)
+            j1 = (bd - length) // step
             if j1 < j0:
                 continue
-            low = sw.lowcut[j0:j1 + 1]
-            high = sw.highcut[j0:j1 + 1]
-            ok = (low < c) & (c < high)
+            ok = (lowcut[j0:j1 + 1] < c) & (c < highcut[j0:j1 + 1])
             if ok.all():
                 continue
             # ties (or a genuine violation): count exactly, halving ties
             if count is None:
                 count = self._counter(sd, bd, c)
-            cnt = count((j0 + np.nonzero(~ok)[0]) * sw.step, sw.length)
-            if ((cnt < sw.lo) | (cnt > sw.up)).any():
+            cnt = count((j0 + np.nonzero(~ok)[0]) * step, length)
+            if ((cnt < lower) | (cnt > length - lower)).any():
                 return False
         return True
 
@@ -405,7 +365,7 @@ def muscle_fit(recording: Recording, alpha: float = 0.1) -> Idealisation:
     else:
         segs = prob.merge_pass(prob.greedy_segments())
         if len(segs) > 1:
-            smallest = prob.scales[0].length if prob.scales else 8
+            smallest = prob.scales[0][0] if prob.scales else 8
             halfwidth = max(2 * prob.d, 2 * prob.stride * smallest, 16)
             for i in range(len(segs) - 1):
                 a0, b0 = segs[i]

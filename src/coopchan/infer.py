@@ -179,15 +179,16 @@ def _shrink(L: int, i: int, target: np.ndarray, lam: np.ndarray, eta: np.ndarray
 
 
 def _solve_row(L: int, i: int, target: np.ndarray, lam_i: float, eta_i: float,
-               branch_sign: float | None = None) -> tuple[float, float]:
+               branch_sign: float | None = None) -> tuple[float, float, float]:
     """Exact minimum of row i's residual over (lam_i, eta_i), starting from
-    the grid value.
+    the grid value: (lam_i, eta_i, residual).
 
     A full 2-D scan comes first, because the row residual can be multimodal
     and a coarse start may sit in the wrong basin; its six best points are
     then polished, since narrow basins can hide between scan points.  The
     start itself stays a candidate.  ``branch_sign`` restricts the middle
-    row of an even L to one identifiability branch.
+    row of an even L to one identifiability branch.  The winner lies on
+    that branch, so its residual is the one ``_row_residuals`` gives it.
     """
     fine = np.linspace(0.008, 0.992, 61 if L <= 8 else 41)
     start_val = float(_grid_residuals(L, i, target, np.array([lam_i]), np.array([eta_i]),
@@ -201,10 +202,11 @@ def _solve_row(L: int, i: int, target: np.ndarray, lam_i: float, eta_i: float,
     best, lam, eta = _shrink(L, i, target, ll[order], ee[order], vals[order],
                              branch_sign)
     # strict improvement over the start and over earlier starts wins
-    k = int(np.argmin(np.concatenate([[start_val], best])))
+    vals = np.concatenate([[start_val], best])
+    k = int(np.argmin(vals))
     if k > 0:
         lam_i, eta_i = float(lam[k - 1]), float(eta[k - 1])
-    return lam_i, eta_i
+    return lam_i, eta_i, float(vals[k])
 
 
 _BRANCH_SIGNS = {"auto": [1.0, -1.0], "plus": [1.0], "minus": [-1.0]}
@@ -236,30 +238,22 @@ def mde_fit(q_hat: TransitionMatrix, L: int, branch: str = "auto") -> MdeResult:
         raise DimMismatch(f"matrix dim {q_hat.dim} does not match L = {L}")
     mask = q_hat.row_mask()
     start = grid_init(q_hat, L)
-    x0 = start.flat
     half = L // 2 if L % 2 == 0 else None
     branches = [None] if half is None else _BRANCH_SIGNS[branch]
 
-    def solve_into(x, i, sign=None):
-        lam_i, eta_i = _solve_row(L, i, q_hat.entries[i], *_row_params(start, i), sign)
-        if i < L:
-            x[i] = lam_i
-        if i >= 1:
-            x[L + i - 1] = eta_i
-
-    def objective(z):
-        return float(_row_residuals(ParamVector.from_flat(z, L), q_hat).sum())
-
-    x_shared = x0.copy()
+    # one (lam_i, eta_i, residual) record per row; masked rows keep their
+    # grid value and add nothing
+    shared = [(*_row_params(start, i), 0.0) for i in range(L + 1)]
     for i in np.flatnonzero(mask):
         if i != half:
-            solve_into(x_shared, int(i))
+            shared[i] = _solve_row(L, int(i), q_hat.entries[i], *_row_params(start, i))
     solutions = {}
     for sign in branches:
-        x = x_shared.copy()
+        rows = list(shared)
         if half is not None and mask[half]:
-            solve_into(x, half, sign)
-        solutions[sign] = (x, objective(x))
+            rows[half] = _solve_row(L, half, q_hat.entries[half], *_row_params(start, half),
+                                    sign)
+        solutions[sign] = (rows, float(np.array([r[2] for r in rows]).sum()))
     if len(solutions) == 2:
         f_plus, f_minus = solutions[1.0][1], solutions[-1.0][1]
         # the two branches are observationally equivalent mirrors, so exact
@@ -270,27 +264,25 @@ def mde_fit(q_hat: TransitionMatrix, L: int, branch: str = "auto") -> MdeResult:
             key = min(solutions, key=lambda s: solutions[s][1])
     else:
         key = branches[0]
-    x_best = solutions[key][0]
+    rows, objective = solutions[key]
     if half is not None and not mask[half]:
-        x_best[half] = x_best[L + half - 1] = _BRANCH_CENTRE[key]
+        rows[half] = (_BRANCH_CENTRE[key], _BRANCH_CENTRE[key], 0.0)
 
-    theta_hat = ParamVector.from_flat(x_best, L)
+    theta_hat = ParamVector(L, [r[0] for r in rows[:L]], [r[1] for r in rows[1:]])
     validate_theta(theta_hat)
-    residuals = _row_residuals(theta_hat, q_hat)
     diagnostics = {
-        "grid_objective": objective(x0),
+        "grid_objective": float(_row_residuals(start, q_hat).sum()),
         "masked_rows": [int(i) for i in np.nonzero(~mask)[0]],
         "degenerate": bool(mask.sum() <= 1),
         "branch": {None: "none", 1.0: "plus", -1.0: "minus"}[key],
-        "row_residuals": [float(r) for r in residuals],
+        "row_residuals": [r[2] for r in rows],
     }
     if len(solutions) == 2:
         diagnostics["branch_objectives"] = {
-            "plus": float(solutions[1.0][1]),
-            "minus": float(solutions[-1.0][1]),
+            "plus": solutions[1.0][1],
+            "minus": solutions[-1.0][1],
         }
-    return MdeResult(theta_hat=theta_hat, objective=float(residuals.sum()),
-                     diagnostics=diagnostics)
+    return MdeResult(theta_hat=theta_hat, objective=objective, diagnostics=diagnostics)
 
 
 def cooperativity_report(theta_hat: ParamVector, tol: float = 1e-3) -> CooperativityReport:

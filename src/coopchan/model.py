@@ -22,15 +22,11 @@ from math import comb
 import numpy as np
 
 
-class ThetaError(ValueError):
-    pass
-
-
-class WrongArity(ThetaError):
+class WrongArity(ValueError):
     """Parameter arrays do not both have exactly L entries."""
 
 
-class OutOfRange(ThetaError):
+class OutOfRange(ValueError):
     """A parameter entry lies outside [0, 1]."""
 
     def __init__(self, name: str, index: int, value: float):
@@ -246,20 +242,6 @@ def sum_transition_matrix(theta: ParamVector) -> TransitionMatrix:
         li, ei = _row_params(theta, i)
         q[i] = transition_rows_grid(L, i, [li], [ei])[0]
     return TransitionMatrix(q)
-
-
-def joint_transition_prob(theta: ParamVector, x, z) -> float:
-    """P(next = z | current = x) as the product of coordinate probabilities."""
-    x = np.asarray(x)
-    z = np.asarray(z)
-    li, ei = _row_params(theta, int(x.sum()))
-    p = 1.0
-    for xi, zi in zip(x, z):
-        if xi:
-            p *= ei if zi else 1.0 - ei
-        else:
-            p *= (1.0 - li) if zi else li
-    return p
 
 
 def sum_transition_matrix_bruteforce(theta: ParamVector) -> TransitionMatrix:

@@ -61,14 +61,14 @@ class Kernel:
         """Kernel support in seconds."""
         return (len(self.taps) - 1) / self.sample_rate
 
-    def decimation_stride(self, corr_threshold: float = 0.1) -> int:
-        """Smallest lag at which the tap autocorrelation drops to the
-        threshold; samples of filtered i.i.d. noise taken this far apart are
+    def decimation_stride(self) -> int:
+        """Smallest lag at which the tap autocorrelation drops to 0.1;
+        samples of filtered i.i.d. noise taken this far apart are
         effectively independent."""
         t = self.taps
         norm = float(t @ t)
         for j in range(1, len(t)):
-            if float(t[:-j] @ t[j:]) / norm <= corr_threshold:
+            if float(t[:-j] @ t[j:]) / norm <= 0.1:
                 return j
         return len(t)
 

@@ -1,20 +1,22 @@
 import itertools
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coopchan import idealise
 from coopchan.core import StepFunction
 from coopchan.idealise import (
     InvalidAlpha,
-    SignBounds,
     _Segmenter,
     check_idealisation,
     empirical_fdr,
     muscle_fit,
+    sign_bounds,
 )
 from coopchan.model import ParamVector
 from coopchan.synth import (
@@ -46,49 +48,53 @@ def exact_binomial_lower(m, level):
     return q
 
 
+def window_level(alpha, n, m):
+    """Per-window test level alpha_m = alpha * m / (2 * D * n)."""
+    return alpha * m / (2.0 * (math.floor(math.log2(n)) + 1) * n)
+
+
 class TestSignBounds:
     def test_single_sample_unconstrained(self):
         for alpha in (0.01, 0.1, 0.5, 0.99):
-            assert SignBounds(alpha, 100).bounds(1) == (0, 1)
+            assert sign_bounds(alpha, 100, 1) == (0, 1)
 
     def test_matches_exact_summation_oracle(self):
-        sb = SignBounds(0.1, 10_000)
         for m in (16, 100, 511, 4096):
-            lo, up = sb.bounds(m)
-            oracle = exact_binomial_lower(m, sb.level(m) / 2.0)
+            lo, up = sign_bounds(0.1, 10_000, m)
+            oracle = exact_binomial_lower(m, window_level(0.1, 10_000, m) / 2.0)
             assert lo == oracle
             assert up == m - lo
 
     def test_symmetric_around_half(self):
-        sb = SignBounds(0.05, 2000)
         for m in (1, 7, 64, 333, 2000):
-            lo, up = sb.bounds(m)
+            lo, up = sign_bounds(0.05, 2000, m)
             assert 0 <= lo <= m / 2 <= up <= m
 
     def test_monotone_in_m(self):
         for alpha, n in ((0.1, 2000), (0.05, 10_000)):
-            sb = SignBounds(alpha, n)
             ms = np.unique(np.linspace(1, n, 400).astype(int))
-            lows = [sb.lower(int(m)) for m in ms]
-            ups = [sb.upper(int(m)) for m in ms]
-            assert all(b >= a for a, b in zip(lows, lows[1:]))
-            assert all(b >= a for a, b in zip(ups, ups[1:]))
+            bounds = [sign_bounds(alpha, n, int(m)) for m in ms]
+            assert all(b[0] >= a[0] and b[1] >= a[1] for a, b in zip(bounds, bounds[1:]))
 
     def test_coverage_under_null(self):
         # Bernoulli(1/2) sign counts respect the per-window level
-        sb = SignBounds(0.1, 1024)
         m = 64
-        lo, up = sb.bounds(m)
+        lo, up = sign_bounds(0.1, 1024, m)
         rng = np.random.default_rng(5)
         counts = rng.binomial(m, 0.5, size=200_000)
         freq_in = np.mean((counts >= lo) & (counts <= up))
-        assert freq_in >= 1 - sb.level(m)
+        assert freq_in >= 1 - window_level(0.1, 1024, m)
 
     def test_invalid_alpha(self):
         with pytest.raises(InvalidAlpha):
-            SignBounds(1.5, 100)
+            sign_bounds(1.5, 100, 2)
         with pytest.raises(ValueError):
-            SignBounds(0.1, 100).bounds(200)
+            sign_bounds(0.1, 100, 200)
+
+    def test_invalid_alpha_without_calibrated_scales(self):
+        # a one-sample recording has no window to bound, yet alpha is checked
+        with pytest.raises(InvalidAlpha):
+            muscle_fit(make_recording([1.0]), alpha=1.5)
 
 
 class TestMuscleBasics:
@@ -229,7 +235,7 @@ class TestFuzz:
         assert len(ideal.fit.levels) == ideal.n_switches + 1
 
 
-def recount_feasible(prob, a, b):
+def recount_feasible(prob, alpha, a, b):
     """Feasibility of segment [a, b) by counting every tested grid window
     of every dyadic scale at the segment level, ties counted as halves."""
     c = prob.level(a, b)
@@ -237,7 +243,7 @@ def recount_feasible(prob, a, b):
     sd, bd = -(-s // prob.stride), -(-b // prob.stride)
     length = 2
     while length <= bd - sd:
-        lo, up = prob.bounds.bounds(length)
+        lo, up = sign_bounds(alpha, prob.nd, length)
         step = max(1, length // 2)
         for start in range(-(-sd // step) * step, bd - length + 1, step):
             window = prob.yd[start:start + length]
@@ -344,7 +350,7 @@ class TestFeasibility:
         rng, prob = tie_heavy_segmenter(n, stride, d, alpha, seed)
         for _ in range(20):
             a, b = sorted(int(v) for v in rng.choice(n + 1, 2, replace=False))
-            assert prob.feasible(a, b) == recount_feasible(prob, a, b), (a, b)
+            assert prob.feasible(a, b) == recount_feasible(prob, alpha, a, b), (a, b)
 
     @given(**tie_heavy_inputs)
     @settings(max_examples=100, deadline=None)
@@ -465,6 +471,26 @@ class TestScaling:
             assert probed <= 16 * n
             per_sample.append(probed / n)
         assert per_sample[1] <= 1.2 * per_sample[0]
+
+    def test_segmenters_of_one_length_share_their_bounds(self, monkeypatch):
+        # counts, not timings: the binomial quantiles of a decimated length
+        # are computed once, not once per recording
+        binom = idealise.binom
+        calls = 0
+
+        def counting_ppf(*args):
+            nonlocal calls
+            calls += 1
+            return binom.ppf(*args)
+
+        monkeypatch.setattr(idealise, "binom", SimpleNamespace(ppf=counting_ppf, cdf=binom.cdf))
+        rng = np.random.default_rng(2)
+        sign_bounds.cache_clear()
+        _Segmenter(rng.standard_normal(1200), d=2, stride=2, alpha=0.1)
+        assert calls > 0
+        calls = 0
+        _Segmenter(rng.standard_normal(1199), d=4, stride=2, alpha=0.1)
+        assert calls == 0
 
     def test_refinement_builds_two_counters_per_boundary(self, monkeypatch):
         # counts, not timings: one window counter per side scores every

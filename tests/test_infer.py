@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -5,10 +7,13 @@ from hypothesis import strategies as st
 
 from coopchan.core import DiscreteTrace, LevelLadder
 from coopchan.infer import (
+    _BRANCH_CENTRE,
     DEFAULT_GRID,
     DimMismatch,
     TooShort,
     _grid_residuals,
+    _row_residuals,
+    _solve_row,
     cooperativity_report,
     empirical_transition_matrix,
     grid_init,
@@ -145,6 +150,63 @@ def reference_fit(q_hat, L, branch_sign):
         if i >= 1:
             x[L + i - 1] = eta_i
     return x
+
+
+def reference_mde_fit(q_hat, L, branch="auto"):
+    """The MDE on a flat parameter vector: rows solved into copies of the
+    grid start, each branch scored by the row residuals of its vector, and
+    the winner's residuals computed again from theta-hat."""
+    mask = q_hat.row_mask()
+    start = grid_init(q_hat, L)
+    x0 = start.flat
+    half = L // 2 if L % 2 == 0 else None
+    branches = [None] if half is None else {"auto": [1.0, -1.0], "plus": [1.0],
+                                            "minus": [-1.0]}[branch]
+
+    def solve_into(x, i, sign=None):
+        lam_i, eta_i, _ = _solve_row(L, i, q_hat.entries[i], *_row_params(start, i), sign)
+        if i < L:
+            x[i] = lam_i
+        if i >= 1:
+            x[L + i - 1] = eta_i
+
+    def objective(z):
+        return float(_row_residuals(ParamVector.from_flat(z, L), q_hat).sum())
+
+    x_shared = x0.copy()
+    for i in np.flatnonzero(mask):
+        if i != half:
+            solve_into(x_shared, int(i))
+    solutions = {}
+    for sign in branches:
+        x = x_shared.copy()
+        if half is not None and mask[half]:
+            solve_into(x, half, sign)
+        solutions[sign] = (x, objective(x))
+    if len(solutions) == 2:
+        f_plus, f_minus = solutions[1.0][1], solutions[-1.0][1]
+        if abs(f_plus - f_minus) <= max(1e-12, 1e-9 * (1.0 + min(f_plus, f_minus))):
+            key = 1.0
+        else:
+            key = min(solutions, key=lambda s: solutions[s][1])
+    else:
+        key = branches[0]
+    x_best = solutions[key][0]
+    if half is not None and not mask[half]:
+        x_best[half] = x_best[L + half - 1] = _BRANCH_CENTRE[key]
+    theta_hat = ParamVector.from_flat(x_best, L)
+    residuals = _row_residuals(theta_hat, q_hat)
+    diagnostics = {
+        "grid_objective": objective(x0),
+        "masked_rows": [int(i) for i in np.nonzero(~mask)[0]],
+        "degenerate": bool(mask.sum() <= 1),
+        "branch": {None: "none", 1.0: "plus", -1.0: "minus"}[key],
+        "row_residuals": [float(r) for r in residuals],
+    }
+    if len(solutions) == 2:
+        diagnostics["branch_objectives"] = {"plus": float(solutions[1.0][1]),
+                                            "minus": float(solutions[-1.0][1])}
+    return theta_hat, float(residuals.sum()), diagnostics
 
 
 def middle_row(theta):
@@ -375,6 +437,18 @@ class TestMdeFit:
         assert auto.diagnostics["branch"] == "plus"
         assert middle_row(auto.theta_hat) == (0.9, 0.9)
         assert auto.objective <= auto.diagnostics["grid_objective"]
+
+    @given(case=q_hats(), branch=st.sampled_from(["auto", "plus", "minus"]))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_flat_vector_fit(self, case, branch):
+        # the per-row records give the bits of the flat vector and of the
+        # residuals computed again from theta-hat
+        L, q_hat = case
+        res = mde_fit(q_hat, L, branch=branch)
+        theta_hat, objective, diagnostics = reference_mde_fit(q_hat, L, branch)
+        assert res.theta_hat.flat.tobytes() == theta_hat.flat.tobytes()
+        assert np.float64(res.objective).tobytes() == np.float64(objective).tobytes()
+        assert json.dumps(res.diagnostics) == json.dumps(diagnostics)
 
     @pytest.mark.parametrize("L", [1, 2, 3, 4])
     def test_lockstep_matches_one_start_at_a_time(self, L):

@@ -1,5 +1,3 @@
-import itertools
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,7 +14,6 @@ from coopchan.model import (
     WrongArity,
     classify_cooperativity,
     is_identifiable,
-    joint_transition_prob,
     simulate_vnd,
     sum_transition_matrix,
     sum_transition_matrix_bruteforce,
@@ -162,20 +159,6 @@ class TestSumTransitionMatrix:
     def test_bruteforce_refuses_large_L(self):
         with pytest.raises(LTooLarge):
             sum_transition_matrix_bruteforce(ParamVector.constant(21, 0.5, 0.5))
-
-    def test_permutation_invariance_of_joint_law(self):
-        rng = np.random.default_rng(11)
-        for L in (2, 3, 4):
-            theta = random_theta(rng, L)
-            states = list(itertools.product([0, 1], repeat=L))
-            for perm in itertools.permutations(range(L)):
-                for x in states:
-                    for z in states:
-                        px = [x[p] for p in perm]
-                        pz = [z[p] for p in perm]
-                        assert joint_transition_prob(theta, x, z) == pytest.approx(
-                            joint_transition_prob(theta, px, pz), abs=1e-14
-                        )
 
 
 class TestSimulate:
