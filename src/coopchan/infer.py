@@ -21,7 +21,7 @@ from .model import (
     TransitionMatrix,
     classify_cooperativity,
     _row_params,
-    transition_rows_grid,
+    transition_rows,
     validate_theta,
 )
 
@@ -70,7 +70,8 @@ def _row_residuals(theta: ParamVector, q_hat: TransitionMatrix) -> np.ndarray:
     out = np.zeros(theta.L + 1)
     for i in np.flatnonzero(q_hat.row_mask()):
         li, ei = _row_params(theta, i)
-        out[i] = _grid_residuals(theta.L, i, q_hat.entries[i], [li], [ei], None)[0]
+        out[i] = _residuals(theta.L, i, q_hat.entries[i], np.array([[li]]), np.array([[ei]]),
+                            [0.0])[0, 0, 0]
     return out
 
 
@@ -102,18 +103,19 @@ def grid_init(q_hat: TransitionMatrix, L: int, grid=DEFAULT_GRID) -> ParamVector
     lam = np.full(L, grid[0])
     eta = np.full(L, grid[0])
     for i in np.flatnonzero(q_hat.row_mask()):
+        lam_axis = grid if i < L else np.zeros(1)
+        eta_axis = grid if i >= 1 else np.zeros(1)
         # lam-major candidates over the sorted grid are in lexicographic order
-        ll, ee = np.meshgrid(grid if i < L else [0.0], grid if i >= 1 else [0.0],
-                             indexing="ij")
-        ll, ee = ll.ravel(), ee.ravel()
-        vals = _grid_residuals(L, i, q_hat.entries[i], ll, ee, None)
+        vals = _residuals(L, i, q_hat.entries[i], lam_axis[None], eta_axis[None],
+                          [0.0]).ravel()
         ties = np.flatnonzero(vals <= vals.min() + 1e-15)
-        if L % 2 == 0 and i == L // 2:
-            ties = ties[np.argsort(ll[ties] < 1.0 - ee[ties], kind="stable")]
+        ll, ee = lam_axis[ties // eta_axis.size], eta_axis[ties % eta_axis.size]
+        # the first tie on the plus branch, if any
+        first = int(np.argmin(ll < 1.0 - ee)) if L % 2 == 0 and i == L // 2 else 0
         if i < L:
-            lam[i] = ll[ties[0]]
+            lam[i] = ll[first]
         if i >= 1:
-            eta[i - 1] = ee[ties[0]]
+            eta[i - 1] = ee[first]
     return ParamVector(L, lam, eta)
 
 
@@ -124,37 +126,35 @@ _N_STARTS = 6
 _BRANCH_CENTRE = {1.0: (5.0 + np.sqrt(5.0)) / 10.0, -1.0: (5.0 - np.sqrt(5.0)) / 10.0}
 
 
-def _grid_residuals(L: int, i: int, target: np.ndarray, lam_c, eta_c,
-                    branch_sign: float | None) -> np.ndarray:
-    """Residual of row i at paired candidates; candidates off the branch
-    ``branch_sign * (lam + eta - 1) >= 0`` score infinity.
+def _residuals(L: int, i: int, target: np.ndarray, lam: np.ndarray, eta: np.ndarray,
+               signs) -> np.ndarray:
+    """Residual of row i at every pair of a lam axis (S, A) and an eta axis
+    (S, B) per block: returns (S, A, B).  Candidates off block s's branch
+    ``signs[s] * (lam + eta - 1) >= 0`` score infinity, so a sign of 0
+    constrains nothing; one block (S = 1) may be masked under several signs.
 
     The objective, the grid start and the row solves all score rows here, and
-    a candidate scores the same bits alone as inside a batch, so their values
+    a candidate scores the same bits alone as inside a block, so their values
     compare exactly."""
-    rows = transition_rows_grid(L, i, lam_c, eta_c)
-    vals = ((rows - target[None, :]) ** 2).sum(axis=1)
-    if branch_sign is not None:
-        vals = np.where(branch_sign * (lam_c - 1.0 + eta_c) >= 0, vals, np.inf)
-    return vals
+    vals = ((transition_rows(L, i, lam, eta) - target) ** 2).sum(axis=-1)
+    gap = lam[:, :, None] - 1.0 + eta[:, None, :]
+    return np.where(np.asarray(signs)[:, None, None] * gap >= 0, vals, np.inf)
 
 
 def _shrink(L: int, i: int, target: np.ndarray, lam: np.ndarray, eta: np.ndarray,
-            best: np.ndarray, branch_sign: float | None):
+            best: np.ndarray, signs: np.ndarray):
     """Local 11 x 11 grid search around each start, moving to the best
     candidate while it improves and shrinking the grid five-fold when it does
     not, until the width is at most 1e-7.
 
     The starts run in lock-step, one residual evaluation per step for every
-    start still shrinking, but each keeps its own width and best; the result
-    is that of polishing them one after another.  A clipped candidate that
-    repeats another scores the same and comes later in the lam-major order,
-    so it never wins the first-occurrence arg-min.
+    start still shrinking, but each keeps its own branch sign, width and
+    best; the result is that of polishing them one after another.  A clipped
+    candidate that repeats another scores the same and comes later in the
+    lam-major order, so it never wins the first-occurrence arg-min.
     """
     lam, eta, best = lam.copy(), eta.copy(), best.copy()
     width = np.full(len(lam), 0.05)
-    n_lam = len(_OFFSETS) if i < L else 1
-    n_eta = len(_OFFSETS) if i >= 1 else 1
     active = np.arange(len(lam))
     while active.size:
         w = width[active, None]
@@ -162,51 +162,58 @@ def _shrink(L: int, i: int, target: np.ndarray, lam: np.ndarray, eta: np.ndarray
             else lam[active, None]
         eta_c = np.clip(eta[active, None] + w * _OFFSETS, 1e-9, 1 - 1e-9) if i >= 1 \
             else eta[active, None]
-        shape = (active.size, n_lam, n_eta)
-        ll = np.broadcast_to(lam_c[:, :, None], shape).reshape(active.size, -1)
-        ee = np.broadcast_to(eta_c[:, None, :], shape).reshape(active.size, -1)
-        vals = _grid_residuals(L, i, target, ll.ravel(), ee.ravel(),
-                               branch_sign).reshape(active.size, -1)
+        vals = _residuals(L, i, target, lam_c, eta_c, signs[active]).reshape(active.size, -1)
         k = vals.argmin(axis=1)
-        pick = np.arange(active.size), k
-        moved = vals[pick] < best[active] - 1e-20
-        best[active[moved]] = vals[pick][moved]
-        lam[active[moved]] = ll[pick][moved]
-        eta[active[moved]] = ee[pick][moved]
+        rows = np.arange(active.size)
+        val = vals[rows, k]
+        moved = val < best[active] - 1e-20
+        won = active[moved]
+        best[won] = val[moved]
+        lam[won] = lam_c[rows, k // eta_c.shape[1]][moved]
+        eta[won] = eta_c[rows, k % eta_c.shape[1]][moved]
         width[active[~moved]] *= 0.2
         active = active[width[active] > 1e-7]
     return best, lam, eta
 
 
 def _solve_row(L: int, i: int, target: np.ndarray, lam_i: float, eta_i: float,
-               branch_sign: float | None = None) -> tuple[float, float, float]:
-    """Exact minimum of row i's residual over (lam_i, eta_i), starting from
-    the grid value: (lam_i, eta_i, residual).
+               signs=(0.0,)) -> list[tuple[float, float, float]]:
+    """Exact minimum of row i's residual over (lam_i, eta_i) on each branch
+    of ``signs``, starting from the grid value: one (lam_i, eta_i, residual)
+    per sign.
 
     A full 2-D scan comes first, because the row residual can be multimodal
-    and a coarse start may sit in the wrong basin; its six best points are
-    then polished, since narrow basins can hide between scan points.  The
-    start itself stays a candidate.  ``branch_sign`` restricts the middle
-    row of an even L to one identifiability branch.  The winner lies on
-    that branch, so its residual is the one ``_row_residuals`` gives it.
+    and a coarse start may sit in the wrong basin; it is scored once and
+    masked per branch.  Its six best points per branch are then polished in
+    one lock-step search, since narrow basins can hide between scan points.
+    The start itself stays a candidate.  A nonzero sign restricts the middle
+    row of an even L to one identifiability branch; the winner lies on it,
+    so its residual is the one ``_row_residuals`` gives it.
     """
+    signs = np.asarray(signs, dtype=float)
     fine = np.linspace(0.008, 0.992, 61 if L <= 8 else 41)
-    start_val = float(_grid_residuals(L, i, target, np.array([lam_i]), np.array([eta_i]),
-                                      branch_sign)[0])
-    ll, ee = np.meshgrid(fine if i < L else [lam_i], fine if i >= 1 else [eta_i],
-                         indexing="ij")
-    ll, ee = ll.ravel(), ee.ravel()
-    vals = _grid_residuals(L, i, target, ll, ee, branch_sign)
-    order = np.argsort(vals, kind="stable")[:_N_STARTS]
-    order = order[np.isfinite(vals[order])]
-    best, lam, eta = _shrink(L, i, target, ll[order], ee[order], vals[order],
-                             branch_sign)
-    # strict improvement over the start and over earlier starts wins
-    vals = np.concatenate([[start_val], best])
-    k = int(np.argmin(vals))
-    if k > 0:
-        lam_i, eta_i = float(lam[k - 1]), float(eta[k - 1])
-    return lam_i, eta_i, float(vals[k])
+    start_vals = _residuals(L, i, target, np.array([[lam_i]]), np.array([[eta_i]]),
+                            signs)[:, 0, 0]
+    lam_axis = fine if i < L else np.array([lam_i])
+    eta_axis = fine if i >= 1 else np.array([eta_i])
+    vals = _residuals(L, i, target, lam_axis[None], eta_axis[None], signs)
+    vals = vals.reshape(len(signs), -1)
+    order = np.argsort(vals, axis=1, kind="stable")[:, :_N_STARTS]
+    owner = np.repeat(np.arange(len(signs)), order.shape[1])
+    k = order.ravel()
+    keep = np.isfinite(vals[owner, k])
+    owner, k = owner[keep], k[keep]
+    best, lam, eta = _shrink(L, i, target, lam_axis[k // eta_axis.size],
+                             eta_axis[k % eta_axis.size], vals[owner, k], signs[owner])
+    out = []
+    for s, start_val in enumerate(start_vals):
+        mine = owner == s
+        # strict improvement over the start and over earlier starts wins
+        vals = np.concatenate([[start_val], best[mine]])
+        j = int(np.argmin(vals))
+        out.append((float(np.r_[lam_i, lam[mine]][j]), float(np.r_[eta_i, eta[mine]][j]),
+                    float(vals[j])))
+    return out
 
 
 _BRANCH_SIGNS = {"auto": [1.0, -1.0], "plus": [1.0], "minus": [-1.0]}
@@ -217,17 +224,17 @@ def mde_fit(q_hat: TransitionMatrix, L: int, branch: str = "auto") -> MdeResult:
     transition frequencies.
 
     The grid initialization is followed by an exact solve of each visited
-    row.  For even L the middle row is solved once per identifiability
-    branch (lam_{L/2} >= 1 - eta_{L/2} and the reverse) unless ``branch``
-    is "plus" or "minus"; the other rows do not depend on the branch.  The
-    lower objective wins, ties resolve to plus, and both are recorded in the
-    diagnostics.  Each row's solve keeps its grid value as a candidate when
-    that value lies on the solved branch, so no such row ends worse than its
-    start, and the objective never exceeds the grid initialization's
-    (``grid_objective``) when the grid's middle row lies on the chosen
-    branch.  Grid ties on the middle row resolve to plus.  A masked middle row
-    takes the chosen branch's centre, lam = eta = (5 +- sqrt 5) / 10; other
-    masked rows keep their grid value.
+    row.  For even L the middle row is solved on each identifiability branch
+    (lam_{L/2} >= 1 - eta_{L/2} and the reverse) in one search, unless
+    ``branch`` is "plus" or "minus"; the other rows do not depend on the
+    branch.  The lower objective wins, ties resolve to plus, and both are
+    recorded in the diagnostics.  Each row's solve keeps its grid value as a
+    candidate when that value lies on the solved branch, so no such row ends
+    worse than its start, and the objective never exceeds the grid
+    initialization's (``grid_objective``) when the grid's middle row lies on
+    the chosen branch.  Grid ties on the middle row resolve to plus.  A
+    masked middle row takes the chosen branch's centre,
+    lam = eta = (5 +- sqrt 5) / 10; other masked rows keep their grid value.
 
     Diagnostics carry ``row_residuals``, each row's share of the objective
     (0 for masked rows).
@@ -246,25 +253,19 @@ def mde_fit(q_hat: TransitionMatrix, L: int, branch: str = "auto") -> MdeResult:
     shared = [(*_row_params(start, i), 0.0) for i in range(L + 1)]
     for i in np.flatnonzero(mask):
         if i != half:
-            shared[i] = _solve_row(L, int(i), q_hat.entries[i], *_row_params(start, i))
-    solutions = {}
-    for sign in branches:
-        rows = list(shared)
-        if half is not None and mask[half]:
-            rows[half] = _solve_row(L, half, q_hat.entries[half], *_row_params(start, half),
-                                    sign)
-        solutions[sign] = (rows, float(np.array([r[2] for r in rows]).sum()))
-    if len(solutions) == 2:
-        f_plus, f_minus = solutions[1.0][1], solutions[-1.0][1]
-        # the two branches are observationally equivalent mirrors, so exact
-        # input ties them to numerical noise; ties resolve to plus
-        if abs(f_plus - f_minus) <= max(1e-12, 1e-9 * (1.0 + min(f_plus, f_minus))):
-            key = 1.0
-        else:
-            key = min(solutions, key=lambda s: solutions[s][1])
-    else:
-        key = branches[0]
-    rows, objective = solutions[key]
+            shared[i] = _solve_row(L, int(i), q_hat.entries[i], *_row_params(start, i))[0]
+    solutions = {sign: list(shared) for sign in branches}
+    if half is not None and mask[half]:
+        solved = _solve_row(L, half, q_hat.entries[half], *_row_params(start, half), branches)
+        for sign, row in zip(branches, solved):
+            solutions[sign][half] = row
+    f = {sign: float(np.array([r[2] for r in rows]).sum()) for sign, rows in solutions.items()}
+    key = branches[0]
+    # the two branches are observationally equivalent mirrors, so exact
+    # input ties them to numerical noise; ties resolve to plus
+    if len(f) == 2 and abs(f[1.0] - f[-1.0]) > max(1e-12, 1e-9 * (1.0 + min(f.values()))):
+        key = min(f, key=f.get)
+    rows, objective = solutions[key], f[key]
     if half is not None and not mask[half]:
         rows[half] = (_BRANCH_CENTRE[key], _BRANCH_CENTRE[key], 0.0)
 
@@ -277,11 +278,8 @@ def mde_fit(q_hat: TransitionMatrix, L: int, branch: str = "auto") -> MdeResult:
         "branch": {None: "none", 1.0: "plus", -1.0: "minus"}[key],
         "row_residuals": [r[2] for r in rows],
     }
-    if len(solutions) == 2:
-        diagnostics["branch_objectives"] = {
-            "plus": solutions[1.0][1],
-            "minus": solutions[-1.0][1],
-        }
+    if len(f) == 2:
+        diagnostics["branch_objectives"] = {"plus": f[1.0], "minus": f[-1.0]}
     return MdeResult(theta_hat=theta_hat, objective=objective, diagnostics=diagnostics)
 
 

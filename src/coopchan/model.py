@@ -203,13 +203,8 @@ def _row_tables(L: int, i: int):
     j = np.arange(L + 1)[:, None]
     r = np.arange(i + 1)[None, :]
     jr = j - i + r
-    valid = (jr >= 0) & (jr <= L - i)
-    coeff = np.where(
-        valid,
-        np.array([[comb(i, rr) * comb(L - i, int(v)) if 0 <= v <= L - i else 0
-                   for rr, v in enumerate(row_jr)] for row_jr in jr], dtype=float),
-        0.0,
-    )
+    coeff = np.array([[comb(i, rr) * comb(L - i, int(v)) if 0 <= v <= L - i else 0
+                       for rr, v in enumerate(row_jr)] for row_jr in jr], dtype=float)
     e_eta = np.broadcast_to(i - r, jr.shape).copy()
     e_eta_c = np.broadcast_to(r, jr.shape).copy()
     e_lam = np.clip(L - j - r, 0, None)
@@ -217,20 +212,18 @@ def _row_tables(L: int, i: int):
     return coeff, e_eta, e_eta_c, e_lam, e_lam_c
 
 
-def transition_rows_grid(L: int, i: int, lam, eta) -> np.ndarray:
+def transition_rows(L: int, i: int, lam, eta) -> np.ndarray:
     """Row i of the sum-process transition matrix, which depends only on
-    (lam_i, eta_i), at paired candidate arrays: returns (len(lam), L+1)."""
+    (lam_i, eta_i), at every pair of a lam axis (S, A) and an eta axis (S, B)
+    per block: returns (S, A, B, L+1).  The powers are taken once per axis
+    value and multiplied in the order of a single pair, so a pair gets the
+    same bits in any block."""
     coeff, e_eta, e_eta_c, e_lam, e_lam_c = _row_tables(L, i)
-    lam = np.asarray(lam, dtype=float)[:, None, None]
-    eta = np.asarray(eta, dtype=float)[:, None, None]
-    terms = (
-        coeff[None]
-        * eta ** e_eta[None]
-        * (1.0 - eta) ** e_eta_c[None]
-        * lam ** e_lam[None]
-        * (1.0 - lam) ** e_lam_c[None]
-    )
-    return terms.sum(axis=2)
+    lam = np.asarray(lam, dtype=float)[:, :, None, None, None]
+    eta = np.asarray(eta, dtype=float)[:, None, :, None, None]
+    eta_terms = coeff * eta ** e_eta * (1.0 - eta) ** e_eta_c
+    terms = eta_terms * lam ** e_lam * (1.0 - lam) ** e_lam_c
+    return terms.sum(axis=-1)
 
 
 def sum_transition_matrix(theta: ParamVector) -> TransitionMatrix:
@@ -240,7 +233,7 @@ def sum_transition_matrix(theta: ParamVector) -> TransitionMatrix:
     q = np.empty((L + 1, L + 1))
     for i in range(L + 1):
         li, ei = _row_params(theta, i)
-        q[i] = transition_rows_grid(L, i, [li], [ei])[0]
+        q[i] = transition_rows(L, i, [[li]], [[ei]])[0, 0, 0]
     return TransitionMatrix(q)
 
 

@@ -9,6 +9,7 @@ an i.i.d. median-zero stream.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 import scipy.signal
@@ -137,10 +138,12 @@ class Recording:
         return np.arange(1, len(self.samples) + 1) / self.sample_rate
 
 
+@lru_cache(maxsize=32)
 def _bessel_taps(order: int, cutoff: float, sample_rate: float) -> np.ndarray:
     """Sampled impulse response of an analog Bessel low-pass, truncated at the
     first sign change of the tail (residual mass there is ~1e-3) and
-    renormalized to unit sum."""
+    renormalized to unit sum.  Studies build one kernel per repetition, so
+    the taps are cached and shared read-only."""
     if order < 1 or not 0 < cutoff < sample_rate / 2:
         raise InvalidParam("need order >= 1 and 0 < cutoff < sample_rate / 2")
     b, a = scipy.signal.bessel(order, 2 * np.pi * cutoff, btype="low", analog=True, norm="mag")
@@ -163,7 +166,9 @@ def _bessel_taps(order: int, cutoff: float, sample_rate: float) -> np.ndarray:
     if len(lead) == 0:
         raise InvalidParam("Bessel impulse response degenerated to zero")
     taps = taps[lead[0]:]
-    return taps / taps.sum()
+    taps = taps / taps.sum()
+    taps.flags.writeable = False
+    return taps
 
 
 def make_kernel(

@@ -5,13 +5,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from coopchan import infer
 from coopchan.core import DiscreteTrace, LevelLadder
 from coopchan.infer import (
     _BRANCH_CENTRE,
     DEFAULT_GRID,
     DimMismatch,
     TooShort,
-    _grid_residuals,
+    _residuals,
     _row_residuals,
     _solve_row,
     cooperativity_report,
@@ -25,14 +26,32 @@ from coopchan.model import (
     _row_params,
     TransitionMatrix,
     Verdict,
+    _row_tables,
     simulate_vnd,
     sum_transition_matrix,
-    transition_rows_grid,
+    transition_rows,
 )
 
 
 def ladder(L):
     return LevelLadder(L=L, offset=0.0, spacing=1.0)
+
+
+def reference_rows(L, i, lam, eta):
+    """Row i of the transition matrix at paired candidates, (len(lam), L+1):
+    four powers per pair, multiplied left to right, the reference the axis
+    evaluator must reproduce bit for bit."""
+    coeff, e_eta, e_eta_c, e_lam, e_lam_c = _row_tables(L, i)
+    lam = np.asarray(lam, dtype=float)[:, None, None]
+    eta = np.asarray(eta, dtype=float)[:, None, None]
+    terms = (
+        coeff[None]
+        * eta ** e_eta[None]
+        * (1.0 - eta) ** e_eta_c[None]
+        * lam ** e_lam[None]
+        * (1.0 - lam) ** e_lam_c[None]
+    )
+    return terms.sum(axis=2)
 
 
 def reference_grid_init(q_hat, L, grid=DEFAULT_GRID):
@@ -45,7 +64,7 @@ def reference_grid_init(q_hat, L, grid=DEFAULT_GRID):
         scored = []
         for lv in grid if i < L else [0.0]:
             for ev in grid if i >= 1 else [0.0]:
-                row = transition_rows_grid(L, i, [lv], [ev])
+                row = reference_rows(L, i, [lv], [ev])
                 scored.append((float(((row - q_hat.entries[i]) ** 2).sum()), lv, ev))
         min_val = min(s[0] for s in scored)
         ties = [s for s in scored if s[0] <= min_val + 1e-15]
@@ -100,7 +119,7 @@ def reference_row_solve(L, i, target, lam_i, eta_i, branch_sign):
     fine = np.linspace(0.008, 0.992, 61 if L <= 8 else 41)
 
     def residuals(lam_c, eta_c):
-        rows = transition_rows_grid(L, i, lam_c, eta_c)
+        rows = reference_rows(L, i, lam_c, eta_c)
         vals = ((rows - target[None, :]) ** 2).sum(axis=1)
         if branch_sign is not None:
             vals = np.where(branch_sign * (lam_c - 1.0 + eta_c) >= 0, vals, np.inf)
@@ -164,7 +183,8 @@ def reference_mde_fit(q_hat, L, branch="auto"):
                                             "minus": [-1.0]}[branch]
 
     def solve_into(x, i, sign=None):
-        lam_i, eta_i, _ = _solve_row(L, i, q_hat.entries[i], *_row_params(start, i), sign)
+        lam_i, eta_i, _ = _solve_row(L, i, q_hat.entries[i], *_row_params(start, i),
+                                     [0.0 if sign is None else sign])[0]
         if i < L:
             x[i] = lam_i
         if i >= 1:
@@ -267,22 +287,64 @@ class TestMdeObjective:
             mde_objective(ParamVector(2, [0.5, 0.5], [0.5, 0.5]), small)
 
 
+UNIT = st.one_of(st.floats(min_value=0.0, max_value=1.0), st.sampled_from([1e-9, 1 - 1e-9]))
+
+
+@st.composite
+def blocks(draw):
+    """(lam, eta) axes of S blocks, (S, A) and (S, B) with S <= 6 and
+    A, B <= 11: values in [0, 1], the clipped ends of the shrink grids, and
+    repeats within an axis, as clipping makes."""
+    S = draw(st.integers(min_value=1, max_value=6))
+
+    def axes(n):
+        pool = draw(st.lists(UNIT, min_size=1, max_size=n))
+        return np.array(draw(st.lists(st.lists(st.sampled_from(pool), min_size=n, max_size=n),
+                                      min_size=S, max_size=S)))
+
+    return (axes(draw(st.integers(min_value=1, max_value=11))),
+            axes(draw(st.integers(min_value=1, max_value=11))))
+
+
+def pairs(lam, eta):
+    """The candidates of a block of axes as paired arrays, lam-major."""
+    shape = (lam.shape[0], lam.shape[1], eta.shape[1])
+    return (np.broadcast_to(lam[:, :, None], shape).ravel(),
+            np.broadcast_to(eta[:, None, :], shape).ravel())
+
+
 class TestRowResidual:
-    @given(L=st.integers(min_value=1, max_value=20), data=st.data())
+    @given(L=st.integers(min_value=1, max_value=20), block=blocks())
+    @settings(max_examples=80, deadline=None)
+    def test_axes_match_the_paired_reference(self, L, block):
+        lam, eta = block
+        ll, ee = pairs(lam, eta)
+        for i in range(L + 1):
+            rows = transition_rows(L, i, lam, eta)
+            assert rows.shape == (*lam.shape, eta.shape[1], L + 1)
+            assert rows.tobytes() == reference_rows(L, i, ll, ee).tobytes()
+
+    @given(L=st.integers(min_value=1, max_value=20), block=blocks(), data=st.data())
     @settings(max_examples=60, deadline=None)
-    def test_candidate_scores_the_same_alone_and_in_a_batch(self, L, data):
-        # the objective scores one candidate, the grid start and the row
-        # solves whole batches; their values must compare exactly
+    def test_candidate_scores_the_same_alone_and_in_a_batch(self, L, block, data):
+        # the objective scores one candidate, the grid start one block of
+        # axes, and the row solves several blocks, each under its own branch
+        # sign; their values must compare exactly
         i = data.draw(st.integers(min_value=0, max_value=L))
-        unit = st.floats(min_value=0.0, max_value=1.0)
-        n = data.draw(st.integers(min_value=2, max_value=200))
-        lam = np.array(data.draw(st.lists(unit, min_size=n, max_size=n)))
-        eta = np.array(data.draw(st.lists(unit, min_size=n, max_size=n)))
-        target = transition_rows_grid(L, i, [data.draw(unit)], [data.draw(unit)])[0]
-        batch = _grid_residuals(L, i, target, lam, eta, None)
-        alone = [_grid_residuals(L, i, target, lam[k:k + 1], eta[k:k + 1], None)[0]
-                 for k in range(n)]
-        assert batch.tobytes() == np.array(alone).tobytes()
+        lam, eta = block
+        S, A, B = lam.shape[0], lam.shape[1], eta.shape[1]
+        signs = np.array(data.draw(st.lists(st.sampled_from([0.0, 1.0, -1.0]),
+                                            min_size=S, max_size=S)))
+        target = transition_rows(L, i, [[data.draw(UNIT)]], [[data.draw(UNIT)]])[0, 0, 0]
+        scored = _residuals(L, i, target, lam, eta, signs)
+        alone = [_residuals(L, i, target, lam[s:s + 1, a:a + 1], eta[s:s + 1, b:b + 1],
+                            signs[s:s + 1])[0, 0, 0]
+                 for s in range(S) for a in range(A) for b in range(B)]
+        assert scored.tobytes() == np.array(alone).tobytes()
+        ll, ee = pairs(lam, eta)
+        paired = ((reference_rows(L, i, ll, ee) - target[None, :]) ** 2).sum(axis=1)
+        on_branch = np.repeat(signs, A * B) * (ll - 1.0 + ee) >= 0
+        assert scored.tobytes() == np.where(on_branch, paired, np.inf).tobytes()
 
     def test_objective_rows_use_the_row_residual(self):
         theta = ParamVector(3, [0.95, 0.9, 0.85], [0.8, 0.9, 0.97])
@@ -290,7 +352,8 @@ class TestRowResidual:
         fit = mde_fit(q_hat, 3)
         for i, reported in enumerate(fit.diagnostics["row_residuals"]):
             li, ei = _row_params(fit.theta_hat, i)
-            assert reported == _grid_residuals(3, i, q_hat.entries[i], [li], [ei], None)[0]
+            assert reported == _residuals(3, i, q_hat.entries[i], np.array([[li]]),
+                                          np.array([[ei]]), [0.0])[0, 0, 0]
 
 
 class TestGridInit:
@@ -466,6 +529,40 @@ class TestMdeFit:
                     half = L // 2
                     ref[half] = ref[L + half - 1] = res.theta_hat.lam[half]
                 assert res.theta_hat.flat.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("L", [2, 4])
+    def test_middle_row_is_scanned_once_for_both_branches(self, L, monkeypatch):
+        half = L // 2
+        scans = []
+
+        def counting(L_, i, lam, eta):
+            if i == half and np.shape(lam)[1] * np.shape(eta)[1] == 61 * 61:
+                scans.append(i)
+            return transition_rows(L_, i, lam, eta)
+
+        monkeypatch.setattr(infer, "transition_rows", counting)
+        rng = np.random.default_rng(L)
+        theta = ParamVector(L, rng.uniform(0.7, 0.99, L), rng.uniform(0.7, 0.99, L))
+        q_hat = empirical_transition_matrix(simulate_vnd(theta, 3000, seed=L).sums, L=L)
+        assert q_hat.row_mask().all()
+        fit = mde_fit(q_hat, L)
+        assert set(fit.diagnostics["branch_objectives"]) == {"plus", "minus"}
+        assert scans == [half]
+
+    @given(case=q_hats())
+    @settings(max_examples=40, deadline=None)
+    def test_middle_row_solves_branches_together_as_apart(self, case):
+        # one scan and one lock-step search for both branches give the bits
+        # of one search per branch, and of the one-start-at-a-time reference
+        L, q_hat = case
+        half = L // 2
+        assume(L % 2 == 0 and q_hat.row_mask()[half])
+        row = (L, half, q_hat.entries[half], *_row_params(grid_init(q_hat, L), half))
+        both = _solve_row(*row, [1.0, -1.0])
+        apart = [_solve_row(*row, [sign])[0] for sign in (1.0, -1.0)]
+        assert np.array(both).tobytes() == np.array(apart).tobytes()
+        for sign, solved in zip((1.0, -1.0), both):
+            assert solved[:2] == reference_row_solve(*row, sign)
 
     @pytest.mark.parametrize("L", [2, 4])
     def test_branches_differ_only_in_middle_row(self, L):

@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
+import scipy.signal
 
 from coopchan.core import StepFunction
+from coopchan.io import kernel_to_dict
 from coopchan.model import ParamVector
 from coopchan.synth import (
     DomainExceeded,
     InvalidParam,
     Kernel,
     NoiseSpec,
+    _bessel_taps,
     convolve_sample,
     make_kernel,
     sample_noise,
@@ -72,6 +75,28 @@ class TestKernels:
         assert abs(k.taps.sum() - 1.0) < 1e-12
         assert (k.taps >= 0).all()
         assert k.support > 0
+
+    def test_bessel_taps_are_built_once_and_shared_read_only(self, monkeypatch):
+        calls = []
+        impulse = scipy.signal.impulse
+
+        def counting_impulse(*args, **kwargs):
+            calls.append(1)
+            return impulse(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.signal, "impulse", counting_impulse)
+        first = make_kernel("bessel", 8_000.0, order=3, cutoff=1_234.5)
+        made = len(calls)
+        second = make_kernel("bessel", 8_000.0, order=3, cutoff=1_234.5)
+        assert len(calls) == made
+        assert second.taps.tobytes() == first.taps.tobytes()
+        with pytest.raises(ValueError):
+            second.taps[0] = 0.5
+        # the dictionary of the shared taps is that of freshly built ones
+        fresh = Kernel("bessel", _bessel_taps.__wrapped__(3, 1_234.5, 8_000.0), 8_000.0,
+                       order=3, cutoff=1_234.5)
+        assert len(calls) == made + 1
+        assert kernel_to_dict(second) == kernel_to_dict(fresh)
 
     def test_custom_normalizes(self):
         k = make_kernel("custom", 1.0, taps=[1.0, 2.0, 1.0])
