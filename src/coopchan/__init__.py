@@ -15,13 +15,11 @@ from .infer import (
 )
 from .model import (
     CooperativityReport,
-    Identifiability,
     JointTrace,
     ParamVector,
     TransitionMatrix,
     Verdict,
     classify_cooperativity,
-    is_identifiable,
     simulate_vnd,
     sum_transition_matrix,
     sum_transition_matrix_bruteforce,

@@ -140,16 +140,3 @@ def dwell_times(trace, state: int, sample_rate: float, n_bins: int = 24) -> Dwel
     counts, edges = np.histogram(samples, bins=n_bins, range=(0.0, float(samples.max())))
     return DwellFit(state=int(state), samples=samples, rate=rate,
                     hist_counts=counts, hist_edges=edges)
-
-
-def order2_counterexample(n: int, seed: int = 0) -> np.ndarray:
-    """Deterministic second-order binary chain: the next value is 1 exactly
-    when the previous two agree.  Its one-step law looks random, but the
-    second-order dependence is total, so the Markov test must reject."""
-    rng = np.random.default_rng(seed)
-    s = np.empty(n, dtype=np.int64)
-    s[0] = 0  # (1, 1) would be absorbing under the rule
-    s[1] = rng.integers(0, 2)
-    for k in range(2, n):
-        s[k] = 1 if s[k - 2] == s[k - 1] else 0
-    return s

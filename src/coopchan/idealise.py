@@ -95,9 +95,12 @@ class _Segmenter:
         # order-statistic cuts of its grid windows on the decimated sequence:
         # a level c with lowcut < c < highcut has >= lower samples below it
         # and <= length - lower at or below it, so its count is feasible
-        # whatever the ties; c == highcut can put a tie at that rank, so it
-        # is counted.  Deviation scales double as the tie-break objective and
-        # are not level-calibrated, so every dyadic length from 2 up is one.
+        # whatever the ties.  A strict miss is a certain violation: c < lowcut
+        # leaves at most lower - 1 samples at or below c, and c > highcut
+        # puts at least length - lower + 1 below it.  Only c equal to a cut
+        # can put a tie at that rank, so only then is the window counted.
+        # Deviation scales double as the tie-break objective and are not
+        # level-calibrated, so every dyadic length from 2 up is one.
         self.scales = []
         lengths = []
         length = 2
@@ -112,6 +115,10 @@ class _Segmenter:
             length *= 2
         self.dev_lengths = np.array(lengths, dtype=np.int64)
         self.dev_steps = self.dev_lengths // 2
+        # level and verdict of each span asked so far: both are pure
+        # functions of (a, b), and the passes ask many spans again
+        self._levels: dict[tuple[int, int], float] = {}
+        self._verdicts: dict[tuple[int, int], bool] = {}
 
     @classmethod
     def from_recording(cls, recording: Recording, alpha: float) -> "_Segmenter":
@@ -134,13 +141,18 @@ class _Segmenter:
         """Median of the tested samples, or of [a, b) if none is tested.
         Bit for bit np.median, whose mean sums from +0.0 (so -0.0 turns
         into +0.0), without its per-call overhead."""
-        s = self.test_start(a, b)
-        x = self.y[a:b] if s >= b else self.y[s:b]
-        h = len(x) // 2
-        if len(x) % 2:
-            return float(np.partition(x, h)[h]) + 0.0
-        p = np.partition(x, (h - 1, h))
-        return (0.0 + float(p[h - 1]) + float(p[h])) / 2
+        c = self._levels.get((a, b))
+        if c is None:
+            s = self.test_start(a, b)
+            x = self.y[a:b] if s >= b else self.y[s:b]
+            h = len(x) // 2
+            if len(x) % 2:
+                c = float(np.partition(x, h)[h]) + 0.0
+            else:
+                p = np.partition(x, (h - 1, h))
+                c = (0.0 + float(p[h - 1]) + float(p[h])) / 2
+            self._levels[(a, b)] = c
+        return c
 
     def _dec_range(self, a: int, b: int) -> tuple[int, int]:
         s = self.test_start(a, b)
@@ -181,12 +193,20 @@ class _Segmenter:
     # -- feasibility ----------------------------------------------------------
 
     def feasible(self, a: int, b: int, c: float | None = None) -> bool:
-        if c is None:
-            c = self.level(a, b)
+        """Whether every tested window of [a, b) passes its sign-count
+        bounds at level c (by default the segment level, whose verdict is
+        remembered per span)."""
+        if c is not None:
+            return self._passes(a, b, c)
+        verdict = self._verdicts.get((a, b))
+        if verdict is None:
+            verdict = self._verdicts[(a, b)] = self._passes(a, b, self.level(a, b))
+        return verdict
+
+    def _passes(self, a: int, b: int, c: float) -> bool:
         sd, bd = self._dec_range(a, b)
         if bd - sd <= 1:
             return True
-        count = None
         for length, step, lower, lowcut, highcut in self.scales:
             if length > bd - sd:
                 break
@@ -194,13 +214,16 @@ class _Segmenter:
             j1 = (bd - length) // step
             if j1 < j0:
                 continue
-            ok = (lowcut[j0:j1 + 1] < c) & (c < highcut[j0:j1 + 1])
-            if ok.all():
+            lo, hi = lowcut[j0:j1 + 1], highcut[j0:j1 + 1]
+            lo_max, hi_min = lo.max(), hi.min()
+            if lo_max < c < hi_min:
                 continue
-            # ties (or a genuine violation): count exactly, halving ties
-            if count is None:
-                count = self._counter(sd, bd, c)
-            cnt = count((j0 + np.nonzero(~ok)[0]) * step, length)
+            if c < lo_max or c > hi_min:
+                return False
+            # c equals a cut: count exactly, halving ties, the windows at it
+            tied = (j0 + np.nonzero((lo == c) | (hi == c))[0]) * step
+            windows = np.lib.stride_tricks.sliding_window_view(self.yd, length)[tied]
+            cnt = (windows < c).sum(axis=1) + 0.5 * (windows == c).sum(axis=1)
             if ((cnt < lower) | (cnt > length - lower)).any():
                 return False
         return True

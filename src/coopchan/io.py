@@ -74,7 +74,8 @@ def noise_from_dict(d) -> NoiseSpec | None:
 
 def write_recording(recording: Recording, path) -> None:
     """CSV with a `time,current` header plus a .meta.json sidecar holding the
-    sampling rate, kernel, noise spec and simulation truth."""
+    sampling rate, kernel, noise spec and simulation truth.  The truth is
+    stored per switch (its step function and ladder), not per sample."""
     path = Path(path)
     rows = map("{:.9f},{!r}".format, recording.times().tolist(), recording.samples.tolist())
     path.write_text("time,current\n" + "\n".join(rows) + "\n")
@@ -89,7 +90,6 @@ def write_recording(recording: Recording, path) -> None:
             "theta": theta_to_dict(truth.theta),
             "step_breaks": [float(b) for b in truth.step.breaks],
             "step_levels": [float(v) for v in truth.step.levels],
-            "values": [int(v) for v in truth.discrete.values],
             "ladder": {"L": truth.discrete.ladder.L,
                        "offset": truth.discrete.ladder.offset,
                        "spacing": truth.discrete.ladder.spacing},
@@ -134,10 +134,18 @@ def read_recording(path, sample_rate: float | None = None) -> Recording:
         if "truth" in meta:
             t = meta["truth"]
             ladder = LevelLadder(**t["ladder"])
+            step = StepFunction(np.asarray(t["step_breaks"]), np.asarray(t["step_levels"]))
+            # a break at (k + 0.5) / rate starts a level at sample k; the
+            # last break, n / rate, ends the trace (rint(n - 0.5) rounds odd
+            # n down)
+            edges = np.rint(step.breaks * rate - 0.5)
+            edges[-1] = np.rint(step.breaks[-1] * rate)
+            rungs = np.rint((step.levels - ladder.offset) / ladder.spacing).astype(np.int64)
             truth = RecordingTruth(
                 theta=theta_from_dict(t["theta"]),
-                step=StepFunction(np.asarray(t["step_breaks"]), np.asarray(t["step_levels"])),
-                discrete=DiscreteTrace(values=np.asarray(t["values"]), ladder=ladder),
+                step=step,
+                discrete=DiscreteTrace(values=np.repeat(rungs, np.diff(edges).astype(np.int64)),
+                                       ladder=ladder),
                 noise=noise_from_dict(t.get("noise")),
                 seed=t.get("seed"),
             )

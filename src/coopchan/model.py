@@ -179,13 +179,6 @@ class CooperativityReport:
     tolerance: float
 
 
-class Identifiability(enum.Enum):
-    IDENTIFIABLE = "identifiable"
-    BRANCH_PLUS = "identifiable on branch +"
-    BRANCH_MINUS = "identifiable on branch -"
-    NOT_GUARANTEED = "not guaranteed"
-
-
 def _row_params(theta: ParamVector, i: int) -> tuple[float, float]:
     """(lam_i, eta_i) entering row i; the placeholder values for the missing
     lam_L / eta_0 only ever appear with exponent zero."""
@@ -364,19 +357,3 @@ def classify_cooperativity(theta: ParamVector, tol: float = 1e-3) -> Cooperativi
         verdict=verdict,
         tolerance=float(tol),
     )
-
-
-def is_identifiable(theta: ParamVector) -> Identifiability:
-    """Whether the sum-process law pins down theta.
-
-    Odd L is always identifiable; even L is identifiable on the branch
-    lam_{L/2} >= 1 - eta_{L/2} (or the reverse), with the '+' branch reported
-    at equality.
-    """
-    validate_theta(theta)
-    if theta.L % 2 == 1:
-        return Identifiability.IDENTIFIABLE
-    half = theta.L // 2
-    if theta.lam[half] >= 1.0 - theta.eta[half - 1]:
-        return Identifiability.BRANCH_PLUS
-    return Identifiability.BRANCH_MINUS

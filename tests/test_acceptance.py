@@ -15,7 +15,7 @@ import pytest
 from click.testing import CliRunner
 
 from coopchan.cli import main as cli_main
-from coopchan.diagnostics import markov_property_test, order2_counterexample
+from coopchan.diagnostics import markov_property_test
 from coopchan.discretise import equal_spacing_cluster
 from coopchan.infer import mde_fit
 from coopchan.model import (
@@ -32,6 +32,7 @@ from coopchan.studies import (
     verdict_accuracy,
 )
 from coopchan.synth import NoiseSpec, make_kernel, synthesize_recording
+from test_diagnostics import order2_counterexample
 
 
 def report(number, name, ok, detail):

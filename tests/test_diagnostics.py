@@ -8,9 +8,21 @@ from coopchan.diagnostics import (
     TooShort,
     dwell_times,
     markov_property_test,
-    order2_counterexample,
 )
 from coopchan.model import ParamVector, simulate_vnd
+
+
+def order2_counterexample(n, seed=0):
+    """Deterministic second-order binary chain: the next value is 1 exactly
+    when the previous two agree.  Its one-step law looks random, but the
+    second-order dependence is total, so the Markov test must reject."""
+    rng = np.random.default_rng(seed)
+    s = np.empty(n, dtype=np.int64)
+    s[0] = 0  # (1, 1) would be absorbing under the rule
+    s[1] = rng.integers(0, 2)
+    for k in range(2, n):
+        s[k] = 1 if s[k - 2] == s[k - 1] else 0
+    return s
 
 
 def trace_of(values, L):

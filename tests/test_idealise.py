@@ -19,6 +19,7 @@ from coopchan.idealise import (
     sign_bounds,
 )
 from coopchan.model import ParamVector
+from coopchan.studies import rep_seed
 from coopchan.synth import (
     NoiseSpec,
     Recording,
@@ -32,6 +33,15 @@ from coopchan.synth import (
 def make_recording(samples, rate=1.0, kernel=None):
     kernel = kernel or make_kernel("identity", rate)
     return Recording(samples=np.asarray(samples, float), sample_rate=rate, kernel=kernel)
+
+
+def acceptance_recording(n, seed):
+    """The acceptance-9 model: L = 3, every stay probability 0.998, Bessel
+    2.5 kHz at 10 kHz, Gaussian noise of sigma 0.1."""
+    theta = ParamVector.constant(3, 0.998, 0.998)
+    kernel = make_kernel("bessel", 10_000.0, cutoff=2_500.0)
+    return synthesize_recording(theta, n, 10_000.0, kernel=kernel,
+                                noise=NoiseSpec("gaussian", sigma=0.1), seed=seed)
 
 
 def exact_binomial_lower(m, level):
@@ -326,12 +336,54 @@ def reference_refine_boundary(prob, a0, b0, b1, halfwidth):
     return b0
 
 
-def tie_heavy_segmenter(n, stride, d, alpha, seed):
+def tie_heavy_samples(rng, n):
     # integer-valued steps plus integer noise make ties with the segment
     # median common
-    rng = np.random.default_rng(seed)
     y = np.repeat(rng.integers(0, 3, n // 20 + 1), 20)[:n] + rng.integers(-2, 3, n)
-    return rng, _Segmenter(y.astype(float), d=d, stride=stride, alpha=alpha)
+    return y.astype(float)
+
+
+def tie_heavy_segmenter(n, stride, d, alpha, seed):
+    rng = np.random.default_rng(seed)
+    return rng, _Segmenter(tie_heavy_samples(rng, n), d=d, stride=stride, alpha=alpha)
+
+
+def reference_feasible(prob, a, b, c=None):
+    """The feasibility probe that counts, with one counter over the whole
+    tested segment, every window whose cuts do not bracket c."""
+    if c is None:
+        c = prob.level(a, b)
+    sd, bd = prob._dec_range(a, b)
+    if bd - sd <= 1:
+        return True
+    count = None
+    for length, step, lower, lowcut, highcut in prob.scales:
+        if length > bd - sd:
+            break
+        j0 = -(-sd // step)
+        j1 = (bd - length) // step
+        if j1 < j0:
+            continue
+        ok = (lowcut[j0:j1 + 1] < c) & (c < highcut[j0:j1 + 1])
+        if ok.all():
+            continue
+        if count is None:
+            count = prob._counter(sd, bd, c)
+        cnt = count((j0 + np.nonzero(~ok)[0]) * step, length)
+        if ((cnt < lower) | (cnt > length - lower)).any():
+            return False
+    return True
+
+
+def fit_bytes(ideal):
+    return ideal.fit.breaks.tobytes(), ideal.fit.levels.tobytes(), ideal.feasible
+
+
+def reference_fit_bytes(rec):
+    """fit_bytes of muscle_fit driven by reference_feasible."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_Segmenter, "feasible", reference_feasible)
+        return fit_bytes(muscle_fit(rec, alpha=0.1))
 
 
 tie_heavy_inputs = dict(
@@ -370,6 +422,49 @@ class TestFeasibility:
             halfwidth = int(rng.integers(1, 65))
             assert (prob.refine_boundary(a0, b0, b1, halfwidth)
                     == reference_refine_boundary(prob, a0, b0, b1, halfwidth)), (a0, b0, b1)
+
+    @given(**tie_heavy_inputs)
+    @settings(max_examples=150, deadline=None)
+    def test_feasible_matches_per_scale_counting_reference(self, n, stride, d, alpha, seed):
+        rng, prob = tie_heavy_segmenter(n, stride, d, alpha, seed)
+        for _ in range(20):
+            a, b = sorted(int(v) for v in rng.choice(n + 1, 2, replace=False))
+            c = [None, prob.level(a, b), float(rng.integers(-2, 5))][int(rng.integers(3))]
+            assert prob.feasible(a, b, c) == reference_feasible(prob, a, b, c), (a, b, c)
+
+    @given(**tie_heavy_inputs)
+    @settings(max_examples=100, deadline=None)
+    def test_remembered_answers_match_a_fresh_segmenter(self, n, stride, d, alpha, seed):
+        rng, prob = tie_heavy_segmenter(n, stride, d, alpha, seed)
+        # spans that share their ends, so a memo keyed by one end shows
+        points = sorted(int(v) for v in rng.choice(n + 1, 4, replace=False))
+        spans = list(itertools.combinations(points, 2))
+        for _ in range(30):
+            a, b = spans[int(rng.integers(len(spans)))]
+            fresh = _Segmenter(prob.y, d=d, stride=stride, alpha=alpha)
+            if rng.integers(2):
+                assert (np.float64(prob.level(a, b)).tobytes()
+                        == np.float64(fresh.level(a, b)).tobytes()), (a, b)
+            else:
+                assert prob.feasible(a, b) == fresh.feasible(a, b), (a, b)
+
+
+class TestReferenceFit:
+    """muscle_fit equals the fit driven by the per-scale counting probe."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
+    def test_acceptance_recordings(self, seed):
+        rec = acceptance_recording(30_000, rep_seed(seed, 0))
+        assert fit_bytes(muscle_fit(rec, alpha=0.1)) == reference_fit_bytes(rec)
+
+    @given(n=st.integers(min_value=40, max_value=600),
+           width=st.integers(min_value=1, max_value=4),
+           seed=st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_tie_heavy_recordings(self, n, width, seed):
+        y = tie_heavy_samples(np.random.default_rng(seed), n)
+        rec = make_recording(y, kernel=make_kernel("custom", 1.0, taps=np.ones(width)))
+        assert fit_bytes(muscle_fit(rec, alpha=0.1)) == reference_fit_bytes(rec)
 
 
 class TestLevel:
@@ -461,16 +556,48 @@ class TestScaling:
     def test_greedy_probes_grow_linearly_in_n(self):
         # counts, not timings: probing the rest of the recording for every
         # segment makes probed / n grow with n
-        theta = ParamVector.constant(3, 0.998, 0.998)
-        kernel = make_kernel("bessel", 10_000.0, cutoff=2_500.0)
         per_sample = []
         for n in (10_000, 40_000):
-            rec = synthesize_recording(theta, n, 10_000.0, kernel=kernel,
-                                       noise=NoiseSpec("gaussian", sigma=0.1), seed=11)
-            probed = self.probed_samples(rec)
+            probed = self.probed_samples(acceptance_recording(n, 11))
             assert probed <= 16 * n
             per_sample.append(probed / n)
         assert per_sample[1] <= 1.2 * per_sample[0]
+
+    def test_greedy_and_merge_decide_from_the_cuts(self, monkeypatch):
+        # counts, not timings: on continuous noise no probe of the greedy
+        # and merge passes needs a full-segment counter
+        prob = _Segmenter.from_recording(acceptance_recording(10_000, 11), alpha=0.1)
+        counter = _Segmenter._counter
+        calls = 0
+
+        def counting_counter(self, lo, hi, c):
+            nonlocal calls
+            calls += 1
+            return counter(self, lo, hi, c)
+
+        monkeypatch.setattr(_Segmenter, "_counter", counting_counter)
+        segs = prob.merge_pass(prob.greedy_segments())
+        assert len(segs) >= 20
+        assert calls == 0
+
+    def test_repeated_probe_partitions_nothing(self, monkeypatch):
+        # counts, not timings: the level and verdict of a span are kept
+        prob = _Segmenter.from_recording(acceptance_recording(10_000, 11), alpha=0.1)
+        partition = np.partition
+        calls = 0
+
+        def counting_partition(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return partition(*args, **kwargs)
+
+        monkeypatch.setattr(np, "partition", counting_partition)
+        first = [prob.feasible(a, b) for a, b in ((0, 500), (500, 5_000), (0, 10_000))]
+        assert calls == 3
+        calls = 0
+        again = [prob.feasible(a, b) for a, b in ((0, 500), (500, 5_000), (0, 10_000))]
+        assert again == first
+        assert calls == 0
 
     def test_segmenters_of_one_length_share_their_bounds(self, monkeypatch):
         # counts, not timings: the binomial quantiles of a decimated length
@@ -495,10 +622,7 @@ class TestScaling:
     def test_refinement_builds_two_counters_per_boundary(self, monkeypatch):
         # counts, not timings: one window counter per side scores every
         # dyadic scale; the closing feasibility re-check is not counted
-        theta = ParamVector.constant(3, 0.998, 0.998)
-        kernel = make_kernel("bessel", 10_000.0, cutoff=2_500.0)
-        rec = synthesize_recording(theta, 10_000, 10_000.0, kernel=kernel,
-                                   noise=NoiseSpec("gaussian", sigma=0.1), seed=11)
+        rec = acceptance_recording(10_000, 11)
         counter, feasible, refine = (_Segmenter._counter, _Segmenter.feasible,
                                      _Segmenter.refine_boundary)
         per_boundary = []

