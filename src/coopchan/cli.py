@@ -352,9 +352,10 @@ def reproduce(study, resolved, out):
     reps = int(resolved.get("reps", default_reps))
     if reps < 1:
         raise InvalidConfig(f"--reps must be at least 1, got {reps}")
-    lines, summary = table(study, reps,
-                           base_seed=int(resolved.get("seed", 0)),
-                           threads=int(resolved.get("threads", 1)))
+    threads = int(resolved.get("threads", 1))
+    if threads < 1:
+        raise InvalidConfig(f"--threads must be at least 1, got {threads}")
+    lines, summary = table(study, reps, base_seed=int(resolved.get("seed", 0)), threads=threads)
     (out / f"{study}.csv").write_text("\n".join(lines) + "\n")
     cio.dump_json(summary, out / f"{study}.json")
     click.echo(f"study {study} complete; summary in {out / (study + '.json')}")

@@ -88,17 +88,20 @@ def markov_property_test(trace, min_expected: float = 5.0) -> MarkovTestResult:
     values = np.asarray(trace.values if isinstance(trace, DiscreteTrace) else trace)
     if len(values) < 3:
         raise TooShort("need at least three samples")
+    if values.min() < 0:
+        raise ValueError("states must be nonnegative integers")
     n_states = int(values.max()) + 1
-    prev, cur, nxt = values[:-2], values[1:-1], values[2:]
+    # (current, predecessor, successor) counts in one pass; the key is
+    # int64 so that narrow state dtypes cannot overflow
+    key = (values[1:-1].astype(np.int64) * n_states + values[:-2]) * n_states + values[2:]
+    counts = np.bincount(key, minlength=n_states ** 3).reshape(n_states, n_states, n_states)
     statistic = 0.0
     dof = 0
     contingency = {}
     for s in range(n_states):
-        at_s = cur == s
-        if not at_s.any():
+        if not counts[s].any():
             continue
-        table = np.zeros((n_states, n_states))
-        np.add.at(table, (prev[at_s], nxt[at_s]), 1.0)
+        table = counts[s].astype(float)
         contingency[s] = table.copy()
         table = _merge_sparse(table, min_expected)
         if table.shape[0] < 2 or table.shape[1] < 2:

@@ -8,6 +8,8 @@ sample maps to its nearest rung.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .core import DiscreteTrace, LevelLadder
@@ -41,8 +43,12 @@ def level_groups(levels, gap_factor: float = 3.0, max_groups: int = 21,
     level sets.  At most max_groups - 1 splits are kept (largest gaps win).
     When no gap qualifies but all gaps are of comparable size (within
     gap_factor of each other), the levels already form a ladder and every
-    unique level is its own group.
+    unique level is its own group.  A gap_factor that is not finite and
+    positive raises ValueError: at or below zero it would turn both rules
+    off.
     """
+    if not 0.0 < gap_factor < math.inf:
+        raise ValueError(f"gap_factor = {gap_factor!r} must be finite and positive")
     levels = np.asarray(levels, dtype=float)
     if levels.size == 0:
         raise Empty("need at least one level")

@@ -79,6 +79,27 @@ class Idealisation:
             raise ValueError("n_switches must equal the number of level changes")
 
 
+def extremum_table(x: np.ndarray, pick) -> list[np.ndarray]:
+    """Sparse table of x under pick (np.maximum or np.minimum): level k
+    holds pick over every window x[j : j + 2**k] (Bender & Farach-Colton,
+    LATIN 2000), so any range is covered by two entries of one level."""
+    table = [x]
+    half = 1
+    while 2 * half <= len(x):
+        table.append(pick(table[-1][:-half], table[-1][half:]))
+        half *= 2
+    return table
+
+
+def range_extrema(max_table, min_table, j0: int, j1: int):
+    """(max, min) over positions j0..j1 of the arrays behind two sparse
+    tables of one length, from two overlapping entries of each."""
+    k = (j1 - j0 + 1).bit_length() - 1
+    i1 = j1 + 1 - (1 << k)
+    maxima, minima = max_table[k], min_table[k]
+    return max(maxima[j0], maxima[i1]), min(minima[j0], minima[i1])
+
+
 class _Segmenter:
     """Shared feasibility/deviation machinery on one recording."""
 
@@ -101,7 +122,11 @@ class _Segmenter:
         # can put a tie at that rank, so only then is the window counted.
         # Deviation scales double as the tie-break objective and are not
         # level-calibrated, so every dyadic length from 2 up is one.
+        # Beside each scale, in the same order, are the sparse tables of its
+        # lowcut maxima and highcut minima that a probe reads its grid range
+        # from.
         self.scales = []
+        self.extrema = []
         lengths = []
         length = 2
         while length <= self.nd:
@@ -110,7 +135,11 @@ class _Segmenter:
                 step = length // 2
                 windows = np.lib.stride_tricks.sliding_window_view(self.yd, length)[::step]
                 part = np.partition(windows, [lower - 1, upper], axis=1)
-                self.scales.append((length, step, lower, part[:, lower - 1], part[:, upper]))
+                # copies, so the partitioned windows are not kept alive
+                lowcut, highcut = part[:, lower - 1].copy(), part[:, upper].copy()
+                self.scales.append((length, step, lower, lowcut, highcut))
+                self.extrema.append((extremum_table(lowcut, np.maximum),
+                                     extremum_table(highcut, np.minimum)))
             lengths.append(length)
             length *= 2
         self.dev_lengths = np.array(lengths, dtype=np.int64)
@@ -207,20 +236,21 @@ class _Segmenter:
         sd, bd = self._dec_range(a, b)
         if bd - sd <= 1:
             return True
-        for length, step, lower, lowcut, highcut in self.scales:
+        for (length, step, lower, lowcut, highcut), (lo_table, hi_table) in zip(
+                self.scales, self.extrema):
             if length > bd - sd:
                 break
             j0 = -(-sd // step)
             j1 = (bd - length) // step
             if j1 < j0:
                 continue
-            lo, hi = lowcut[j0:j1 + 1], highcut[j0:j1 + 1]
-            lo_max, hi_min = lo.max(), hi.min()
+            lo_max, hi_min = range_extrema(lo_table, hi_table, j0, j1)
             if lo_max < c < hi_min:
                 continue
             if c < lo_max or c > hi_min:
                 return False
             # c equals a cut: count exactly, halving ties, the windows at it
+            lo, hi = lowcut[j0:j1 + 1], highcut[j0:j1 + 1]
             tied = (j0 + np.nonzero((lo == c) | (hi == c))[0]) * step
             windows = np.lib.stride_tricks.sliding_window_view(self.yd, length)[tied]
             cnt = (windows < c).sum(axis=1) + 0.5 * (windows == c).sum(axis=1)

@@ -22,6 +22,17 @@ def _f(x) -> str:
     return repr(float(x))
 
 
+def _rows(row: str, *columns: np.ndarray) -> str:
+    """One row per index of the equal-length columns, all formatted by a
+    single % operation over a flat tuple of cells.  %.9f, %r and %d give
+    the bytes of str.format's {:.9f}, {!r} and {} on floats and ints."""
+    width, n = len(columns), len(columns[0])
+    cells = [None] * (width * n)
+    for k, column in enumerate(columns):
+        cells[k::width] = column.tolist()
+    return row * n % tuple(cells)
+
+
 def dump_json(obj, path) -> None:
     Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
@@ -77,8 +88,7 @@ def write_recording(recording: Recording, path) -> None:
     sampling rate, kernel, noise spec and simulation truth.  The truth is
     stored per switch (its step function and ladder), not per sample."""
     path = Path(path)
-    rows = map("{:.9f},{!r}".format, recording.times().tolist(), recording.samples.tolist())
-    path.write_text("time,current\n" + "\n".join(rows) + "\n")
+    path.write_text("time,current\n" + _rows("%.9f,%r\n", recording.times(), recording.samples))
     meta = {
         "sample_rate": float(recording.sample_rate),
         "kernel": kernel_to_dict(recording.kernel),
@@ -164,9 +174,8 @@ def read_recording(path, sample_rate: float | None = None) -> Recording:
 def write_idealisation(ideal: Idealisation, path) -> None:
     path = Path(path)
     breaks = ideal.fit.breaks
-    rows = map("{:.9f},{:.9f},{!r}".format, breaks[:-1].tolist(), breaks[1:].tolist(),
-               ideal.fit.levels.tolist())
-    path.write_text("segment_start_time,segment_end_time,level\n" + "\n".join(rows) + "\n")
+    path.write_text("segment_start_time,segment_end_time,level\n"
+                    + _rows("%.9f,%.9f,%r\n", breaks[:-1], breaks[1:], ideal.fit.levels))
     dump_json({
         "alpha": ideal.alpha,
         "n_switches": ideal.n_switches,
@@ -188,8 +197,7 @@ def read_idealisation(path) -> Idealisation:
 def write_discrete(trace: DiscreteTrace, sample_rate: float, path) -> None:
     path = Path(path)
     times = np.arange(1, len(trace) + 1) / sample_rate
-    rows = map("{:.9f},{}".format, times.tolist(), trace.values.tolist())
-    path.write_text("time,open_channels\n" + "\n".join(rows) + "\n")
+    path.write_text("time,open_channels\n" + _rows("%.9f,%d\n", times, trace.values))
     dump_json({
         "sample_rate": float(sample_rate),
         "ladder": {"L": trace.ladder.L, "offset": trace.ladder.offset,

@@ -1,11 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.stats import chi2
 
 from coopchan.core import DiscreteTrace, LevelLadder
 from coopchan.diagnostics import (
     AllCellsSparse,
+    MarkovTestResult,
     NoVisits,
     TooShort,
+    _merge_sparse,
     dwell_times,
     markov_property_test,
 )
@@ -23,6 +28,39 @@ def order2_counterexample(n, seed=0):
     for k in range(2, n):
         s[k] = 1 if s[k - 2] == s[k - 1] else 0
     return s
+
+
+def reference_markov_property_test(values, min_expected=5.0):
+    """markov_property_test counting each state's contingency table with its
+    own mask and np.add.at: the reference for the one-pass counts."""
+    values = np.asarray(values)
+    if len(values) < 3:
+        raise TooShort("need at least three samples")
+    n_states = int(values.max()) + 1
+    prev, cur, nxt = values[:-2], values[1:-1], values[2:]
+    statistic = 0.0
+    dof = 0
+    contingency = {}
+    for s in range(n_states):
+        at_s = cur == s
+        if not at_s.any():
+            continue
+        table = np.zeros((n_states, n_states))
+        np.add.at(table, (prev[at_s], nxt[at_s]), 1.0)
+        contingency[s] = table.copy()
+        table = _merge_sparse(table, min_expected)
+        if table.shape[0] < 2 or table.shape[1] < 2:
+            continue
+        total = table.sum()
+        expected = np.outer(table.sum(axis=1), table.sum(axis=0)) / total
+        if (expected < min_expected).any():
+            continue
+        statistic += float(((table - expected) ** 2 / expected).sum())
+        dof += (table.shape[0] - 1) * (table.shape[1] - 1)
+    if dof == 0:
+        raise AllCellsSparse("no state has a testable contingency table")
+    return MarkovTestResult(statistic=statistic, dof=dof, p_value=float(chi2.sf(statistic, dof)),
+                            contingency=contingency)
 
 
 def trace_of(values, L):
@@ -63,6 +101,36 @@ class TestMarkovTest:
             res = markov_property_test(trace.sums)
             rejections += res.p_value < 0.05
         assert rejections <= 0.2 * n_seeds
+
+    @given(states=st.sets(st.integers(min_value=0, max_value=5), min_size=1),
+           n=st.integers(min_value=3, max_value=400),
+           dtype=st.sampled_from([np.int8, np.int16, np.int64, np.uint8]),
+           min_expected=st.sampled_from([0.5, 5.0]),
+           seed=st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_counts_match_the_per_state_reference(self, states, n, dtype, min_expected, seed):
+        # runs of states drawn from a subset of 0..5, so traces miss states
+        # below their maximum, and narrow dtypes whose products overflow
+        rng = np.random.default_rng(seed)
+        runs = rng.choice(sorted(states), n)
+        values = np.repeat(runs, rng.integers(1, 4, n))[:n].astype(dtype)
+        try:
+            expected = reference_markov_property_test(values, min_expected)
+        except AllCellsSparse:
+            with pytest.raises(AllCellsSparse):
+                markov_property_test(values, min_expected)
+            return
+        got = markov_property_test(values, min_expected)
+        assert (got.statistic, got.dof, got.p_value) == (
+            expected.statistic, expected.dof, expected.p_value)
+        assert list(got.contingency) == list(expected.contingency)
+        for s, table in expected.contingency.items():
+            assert got.contingency[s].dtype == table.dtype
+            np.testing.assert_array_equal(got.contingency[s], table)
+
+    def test_negative_states_are_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            markov_property_test(np.array([0, 1, -1, 0, 1]))
 
     def test_too_short(self):
         with pytest.raises(TooShort):

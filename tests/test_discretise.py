@@ -65,6 +65,14 @@ class TestSelectL:
         with pytest.raises(Empty):
             select_L([])
 
+    @pytest.mark.parametrize("factor", [-2.0, 0.0, float("nan"), float("inf")])
+    def test_gap_factor_must_be_finite_and_positive(self, factor):
+        # at or below zero both the gap rule and the ladder rule would be off
+        with pytest.raises(ValueError, match="gap_factor"):
+            level_groups([0.0, 1.0, 2.0], gap_factor=factor)
+        with pytest.raises(ValueError, match="gap_factor"):
+            select_L([0.0, 1.0, 2.0], gap_factor=factor)
+
     def test_groups_partition(self):
         groups = level_groups([0.0, 0.02, 1.0, 1.03], gap_factor=3.0)
         assert [list(g) for g in groups] == [[0.0, 0.02], [1.0, 1.03]]

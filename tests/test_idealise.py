@@ -15,7 +15,9 @@ from coopchan.idealise import (
     _Segmenter,
     check_idealisation,
     empirical_fdr,
+    extremum_table,
     muscle_fit,
+    range_extrema,
     sign_bounds,
 )
 from coopchan.model import ParamVector
@@ -449,12 +451,33 @@ class TestFeasibility:
                 assert prob.feasible(a, b) == fresh.feasible(a, b), (a, b)
 
 
+class TestExtremumTable:
+    def test_range_extrema_match_slice_reductions(self):
+        # every range of every length 1..40, on values with ties and both
+        # signed zeros; the max and min tables come from different arrays,
+        # so a swapped lookup shows
+        rng = np.random.default_rng(5)
+        pool = np.array([-1.5, -0.0, 0.0, 0.25, 3.0])
+        for size in range(1, 41):
+            x = np.where(rng.random(size) < 0.7, rng.choice(pool, size), rng.normal(size=size))
+            y = np.where(rng.random(size) < 0.7, rng.choice(pool, size), rng.normal(size=size))
+            max_table, min_table = extremum_table(x, np.maximum), extremum_table(y, np.minimum)
+            assert len(max_table) == size.bit_length()
+            for j0 in range(size):
+                for j1 in range(j0, size):
+                    assert (range_extrema(max_table, min_table, j0, j1)
+                            == (x[j0:j1 + 1].max(), y[j0:j1 + 1].min())), (size, j0, j1)
+
+
 class TestReferenceFit:
     """muscle_fit equals the fit driven by the per-scale counting probe."""
 
-    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
-    def test_acceptance_recordings(self, seed):
-        rec = acceptance_recording(30_000, rep_seed(seed, 0))
+    # at n = 3e4 the smallest scale's extremum tables stop at level 9; the
+    # n = 3e5 recording takes them to level 13
+    @pytest.mark.parametrize("seed, n", [(1, 30_000), (2, 30_000), (3, 30_000), (4, 30_000),
+                                         (5, 300_000)], ids=["1", "2", "3", "4", "5"])
+    def test_acceptance_recordings(self, seed, n):
+        rec = acceptance_recording(n, rep_seed(seed, 0))
         assert fit_bytes(muscle_fit(rec, alpha=0.1)) == reference_fit_bytes(rec)
 
     @given(n=st.integers(min_value=40, max_value=600),

@@ -25,6 +25,34 @@ def read_bytes(path):
     return Path(path).read_bytes()
 
 
+# The CSV writers as they were, formatting one row at a time with
+# str.format: the reference for the bytes of cio's writers.
+
+def reference_recording_csv(rec):
+    rows = map("{:.9f},{!r}".format, rec.times().tolist(), rec.samples.tolist())
+    return "time,current\n" + "\n".join(rows) + "\n"
+
+
+def reference_idealisation_csv(ideal):
+    breaks = ideal.fit.breaks
+    rows = map("{:.9f},{:.9f},{!r}".format, breaks[:-1].tolist(), breaks[1:].tolist(),
+               ideal.fit.levels.tolist())
+    return "segment_start_time,segment_end_time,level\n" + "\n".join(rows) + "\n"
+
+
+def reference_discrete_csv(trace, sample_rate):
+    times = np.arange(1, len(trace) + 1) / sample_rate
+    rows = map("{:.9f},{}".format, times.tolist(), trace.values.tolist())
+    return "time,open_channels\n" + "\n".join(rows) + "\n"
+
+
+awkward_floats = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-5, 1e16, 1e22, -1e22, 0.1, 1 / 3,
+                     2.0 ** 53 + 2, 123456.789, 1e-310]),
+)
+
+
 class TestIORoundTrips:
     def test_recording_round_trip(self, tmp_path):
         theta = ParamVector.from_flat([0.99, 0.99, 0.99, 0.99])
@@ -117,6 +145,30 @@ class TestIORoundTrips:
                 for j, lv in enumerate(levels)]
         assert path.read_text() == "\n".join(["segment_start_time,segment_end_time,level"]
                                              + rows) + "\n"
+
+    @given(values=st.lists(awkward_floats, min_size=1, max_size=41),
+           counts=st.lists(st.integers(min_value=0, max_value=20), min_size=1, max_size=41),
+           dtype=st.sampled_from([np.int8, np.int16, np.int64, np.uint8]),
+           rate=st.sampled_from([1.0, 3.0, 7.0, 10_000.0, 2.5e4, 1e-3]))
+    @settings(max_examples=200, deadline=None)
+    def test_writers_match_the_per_row_reference(self, values, counts, dtype, rate):
+        # n = 1, 2 and odd n come from the drawn list lengths
+        rec = Recording(samples=np.array(values), sample_rate=rate,
+                        kernel=make_kernel("identity", rate))
+        levels = [v for k, v in enumerate(values) if k == 0 or v != values[k - 1]]
+        breaks = np.concatenate([[0.0], np.arange(1, len(levels)) - 0.5, [len(levels)]]) / rate
+        ideal = Idealisation(fit=StepFunction(breaks, np.array(levels)), alpha=0.1,
+                             n_switches=len(levels) - 1, feasible=True, sample_rate=rate)
+        trace = DiscreteTrace(values=np.array(counts, dtype=dtype),
+                              ladder=LevelLadder(L=20, offset=0.0, spacing=1.0))
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            cio.write_recording(rec, tmp / "rec.csv")
+            cio.write_idealisation(ideal, tmp / "ideal.csv")
+            cio.write_discrete(trace, rate, tmp / "disc.csv")
+            assert read_bytes(tmp / "rec.csv") == reference_recording_csv(rec).encode()
+            assert read_bytes(tmp / "ideal.csv") == reference_idealisation_csv(ideal).encode()
+            assert read_bytes(tmp / "disc.csv") == reference_discrete_csv(trace, rate).encode()
 
     def test_csv_layout_rules(self, tmp_path):
         # leading blank lines and an optional header are skipped, further
@@ -347,6 +399,28 @@ class TestCli:
         assert "--reps" in result.output
         assert not (out / f"{study}.json").exists()
         assert not (out / f"{study}.csv").exists()
+
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    def test_reproduce_without_workers_exit_code(self, runner, tmp_path, threads):
+        out = tmp_path / "study"
+        result = runner.invoke(main, ["reproduce", "fdr-check", "--reps", "1",
+                                      "--threads", threads, "--out", str(out)])
+        assert result.exit_code == 2
+        assert "--threads" in result.output
+        assert not (out / "fdr-check.json").exists()
+
+    @pytest.mark.parametrize("factor", ["-2", "0", "nan", "inf"])
+    def test_bad_gap_factor_exit_code(self, runner, tmp_path, factor):
+        rec = synthesize_recording(ParamVector(1, [0.99], [0.99]), 500, 1000.0,
+                                   kernel="bspline2", noise=NoiseSpec("gaussian", sigma=0.05),
+                                   seed=3)
+        cio.write_recording(rec, tmp_path / "rec.csv")
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["pipeline", "--input", str(tmp_path / "rec.csv"),
+                                      "--gap-factor", factor, "--out", str(out)])
+        assert result.exit_code == 4
+        assert "gap_factor" in result.output
+        assert not (out / "report.json").exists()
 
     def test_empty_l_sweep_exit_code(self, runner, tmp_path):
         rec = synthesize_recording(ParamVector(1, [0.99], [0.99]), 500, 1000.0,
