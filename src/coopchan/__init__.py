@@ -25,7 +25,7 @@ from .model import (
     sum_transition_matrix_bruteforce,
     validate_theta,
 )
-from .pipeline import PipelineResult, run_pipeline
+from .pipeline import PipelineResult, fit_ladder, run_pipeline
 from .synth import (
     Kernel,
     NoiseSpec,

@@ -22,7 +22,7 @@ from . import plots
 from .diagnostics import NoVisits, dwell_times, markov_property_test
 from .idealise import muscle_fit
 from .infer import cooperativity_report, empirical_transition_matrix, mde_fit
-from .model import ParamVector, validate_theta
+from .model import ParamVector
 from .pipeline import discretise_idealisation, level_histogram, run_pipeline
 from .studies import STUDY_TABLES
 from .synth import NoiseSpec, make_kernel, synthesize_recording
@@ -82,11 +82,17 @@ def _parse_theta(theta_str: str | None, channels: int | None) -> ParamVector:
     if channels is not None and len(flat) != 2 * channels:
         raise InvalidConfig(f"--theta has {len(flat)} entries, expected {2 * channels}")
     try:
-        theta = ParamVector.from_flat(flat)
-        validate_theta(theta)
+        return ParamVector.from_flat(flat)
     except ValueError as err:
         raise InvalidConfig(str(err)) from err
-    return theta
+
+
+def _int_at_least(resolved: dict, key: str, default: int, least: int) -> int:
+    """Integer option ``key``; a value below ``least`` is invalid configuration."""
+    value = int(resolved.get(key, default))
+    if value < least:
+        raise InvalidConfig(f"--{key} must be at least {least}, got {value}")
+    return value
 
 
 @click.group()
@@ -166,7 +172,8 @@ def simulate(resolved, out):
     rec = synthesize_recording(theta, n, rate,
                                offset=float(resolved.get("offset", 0.0)),
                                spacing=float(resolved.get("spacing", 1.0)),
-                               kernel=kernel, noise=noise, seed=int(resolved.get("seed", 0)))
+                               kernel=kernel, noise=noise,
+                               seed=_int_at_least(resolved, "seed", 0, 0))
     cio.write_recording(rec, out / "recording.csv")
     click.echo(f"wrote {out / 'recording.csv'} ({n} samples)")
 
@@ -349,13 +356,10 @@ def dwell(resolved, out):
 def reproduce(study, resolved, out):
     """Seeded Monte-Carlo studies; writes per-repetition CSV and a summary."""
     table, default_reps = STUDY_TABLES[study]
-    reps = int(resolved.get("reps", default_reps))
-    if reps < 1:
-        raise InvalidConfig(f"--reps must be at least 1, got {reps}")
-    threads = int(resolved.get("threads", 1))
-    if threads < 1:
-        raise InvalidConfig(f"--threads must be at least 1, got {threads}")
-    lines, summary = table(study, reps, base_seed=int(resolved.get("seed", 0)), threads=threads)
+    reps = _int_at_least(resolved, "reps", default_reps, 1)
+    threads = _int_at_least(resolved, "threads", 1, 1)
+    seed = _int_at_least(resolved, "seed", 0, 0)
+    lines, summary = table(study, reps, base_seed=seed, threads=threads)
     (out / f"{study}.csv").write_text("\n".join(lines) + "\n")
     cio.dump_json(summary, out / f"{study}.json")
     click.echo(f"study {study} complete; summary in {out / (study + '.json')}")

@@ -153,9 +153,9 @@ def _polish(levels, weights, L, offset, spacing, max_iter=60):
     return best_sse, best
 
 
-def grid_sse(levels, weights, L, offsets, spacings) -> np.ndarray:
-    """Vectorized nearest-rung SSE over an (offset, spacing) candidate grid;
-    returns a (len(offsets) * len(spacings),) array in C order."""
+def grid_sse(levels, weights, L, offsets, spacings):
+    """Vectorized nearest-rung SSE over an (offset, spacing) candidate grid:
+    returns each candidate's (sse, offset, spacing) as arrays, in C order."""
     levels = np.asarray(levels, float)
     weights = np.asarray(weights, float)
     off = np.repeat(offsets, len(spacings))

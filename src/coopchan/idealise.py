@@ -258,12 +258,11 @@ class _Segmenter:
                 return False
         return True
 
-    def deviation(self, a: int, b: int, c: float | None = None) -> float:
-        """Sum over tested windows of |count - length/2|; the tie-break
-        objective among minimal-switch fits.  Every term is a half-integer,
-        so the sum is exact in any order."""
-        if c is None:
-            c = self.level(a, b)
+    def deviation(self, a: int, b: int) -> float:
+        """Sum over tested windows of |count - length/2| at the segment
+        level; the tie-break objective among minimal-switch fits.  Every
+        term is a half-integer, so the sum is exact in any order."""
+        c = self.level(a, b)
         sd, bd = self._dec_range(a, b)
         if bd - sd <= 1:
             return 0.0
@@ -322,10 +321,9 @@ class _Segmenter:
                 prev = best[a]
                 if prev[0] + 1 > cand[0]:
                     continue
-                c = self.level(a, b)
-                if not self.feasible(a, b, c):
+                if not self.feasible(a, b):
                     continue
-                trial = (prev[0] + 1, prev[1] + self.deviation(a, b, c), a)
+                trial = (prev[0] + 1, prev[1] + self.deviation(a, b), a)
                 if (trial[0], trial[1]) < (cand[0], cand[1]):
                     cand = trial
             best[b] = cand

@@ -22,7 +22,6 @@ from .model import (
     classify_cooperativity,
     _row_params,
     transition_rows,
-    validate_theta,
 )
 
 
@@ -78,7 +77,6 @@ def _row_residuals(theta: ParamVector, q_hat: TransitionMatrix) -> np.ndarray:
 def mde_objective(theta: ParamVector, q_hat: TransitionMatrix) -> float:
     """Squared Frobenius distance between model and empirical transition
     matrices; masked rows contribute nothing."""
-    validate_theta(theta)
     if q_hat.dim != theta.L + 1:
         raise DimMismatch(f"matrix dim {q_hat.dim} does not match L = {theta.L}")
     return float(_row_residuals(theta, q_hat).sum())
@@ -241,8 +239,6 @@ def mde_fit(q_hat: TransitionMatrix, L: int, branch: str = "auto") -> MdeResult:
     """
     if branch not in _BRANCH_SIGNS:
         raise ValueError("branch must be auto, plus or minus")
-    if q_hat.dim != L + 1:
-        raise DimMismatch(f"matrix dim {q_hat.dim} does not match L = {L}")
     mask = q_hat.row_mask()
     start = grid_init(q_hat, L)
     half = L // 2 if L % 2 == 0 else None
@@ -270,7 +266,6 @@ def mde_fit(q_hat: TransitionMatrix, L: int, branch: str = "auto") -> MdeResult:
         rows[half] = (_BRANCH_CENTRE[key], _BRANCH_CENTRE[key], 0.0)
 
     theta_hat = ParamVector(L, [r[0] for r in rows[:L]], [r[1] for r in rows[1:]])
-    validate_theta(theta_hat)
     diagnostics = {
         "grid_objective": float(_row_residuals(start, q_hat).sum()),
         "masked_rows": [int(i) for i in np.nonzero(~mask)[0]],

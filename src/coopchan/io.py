@@ -18,10 +18,6 @@ from .model import CooperativityReport, ParamVector
 from .synth import Kernel, NoiseSpec, Recording, RecordingTruth
 
 
-def _f(x) -> str:
-    return repr(float(x))
-
-
 def _rows(row: str, *columns: np.ndarray) -> str:
     """One row per index of the equal-length columns, all formatted by a
     single % operation over a flat tuple of cells.  %.9f, %r and %d give
@@ -130,7 +126,8 @@ def read_recording(path, sample_rate: float | None = None) -> Recording:
     """Read a CSV of time and current columns (with or without a header;
     further columns are ignored); the sidecar .meta.json restores the kernel
     and truth when present, otherwise the sampling rate must be supplied or
-    is inferred from the time column, and an identity kernel is assumed."""
+    is inferred from the time column, and an identity kernel is assumed.
+    Truth whose theta is invalid or whose n_samples is not the CSV's raises."""
     path = Path(path)
     data = np.loadtxt(path, delimiter=",", usecols=(0, 1), ndmin=2,
                       skiprows=_first_sample_line(path))
@@ -142,6 +139,9 @@ def read_recording(path, sample_rate: float | None = None) -> Recording:
         kernel = kernel_from_dict(meta["kernel"])
         rate = float(meta["sample_rate"])
         if "truth" in meta:
+            if len(samples) != meta["n_samples"]:
+                raise ValueError(f"{path} holds {len(samples)} samples but its sidecar's "
+                                 f"truth describes {meta['n_samples']}")
             t = meta["truth"]
             ladder = LevelLadder(**t["ladder"])
             step = StepFunction(np.asarray(t["step_breaks"]), np.asarray(t["step_levels"]))
@@ -216,9 +216,8 @@ def read_discrete(path) -> tuple[DiscreteTrace, float]:
 
 
 def write_histogram(bin_left, bin_right, count, path) -> None:
-    lines = ["bin_left,bin_right,count"]
-    lines += [f"{_f(a)},{_f(b)},{_f(c)}" for a, b, c in zip(bin_left, bin_right, count)]
-    Path(path).write_text("\n".join(lines) + "\n")
+    columns = (np.asarray(c, dtype=float) for c in (bin_left, bin_right, count))
+    Path(path).write_text("bin_left,bin_right,count\n" + _rows("%r,%r,%r\n", *columns))
 
 
 def report_to_dict(report: CooperativityReport, fit_diagnostics: dict | None = None,

@@ -45,7 +45,8 @@ class ParamVector:
     """Stay probabilities (lam[0..L-1], eta[0..L-1]) of an L-channel ensemble.
 
     eta[r-1] is the open->open stay probability when r channels are open, so
-    the flat layout is (lam_0, ..., lam_{L-1}, eta_1, ..., eta_L).
+    the flat layout is (lam_0, ..., lam_{L-1}, eta_1, ..., eta_L).  Every
+    instance is valid: construction runs ``validate_theta``.
     """
 
     L: int
@@ -56,6 +57,7 @@ class ParamVector:
         object.__setattr__(self, "L", int(self.L))
         object.__setattr__(self, "lam", np.atleast_1d(np.asarray(self.lam, dtype=float)))
         object.__setattr__(self, "eta", np.atleast_1d(np.asarray(self.eta, dtype=float)))
+        validate_theta(self)
 
     @classmethod
     def from_flat(cls, flat, L: int | None = None) -> "ParamVector":
@@ -221,7 +223,6 @@ def transition_rows(L: int, i: int, lam, eta) -> np.ndarray:
 
 def sum_transition_matrix(theta: ParamVector) -> TransitionMatrix:
     """Closed-form transition matrix of the sum process."""
-    validate_theta(theta)
     L = theta.L
     q = np.empty((L + 1, L + 1))
     for i in range(L + 1):
@@ -236,7 +237,6 @@ def sum_transition_matrix_bruteforce(theta: ParamVector) -> TransitionMatrix:
     For each row the source is the canonical vector with the first i
     coordinates open (any representative works, by permutation invariance).
     """
-    validate_theta(theta)
     L = theta.L
     if L > 20:
         raise LTooLarge(f"2^{L} states is too many to enumerate")
@@ -273,7 +273,6 @@ def simulate_vnd(theta: ParamVector, n: int, seed, init="all-closed") -> JointTr
     the other steps, and the states in between are repeats of the last one:
     the same draws give the same trace as a rule applied at every step.
     """
-    validate_theta(theta)
     if n < 1:
         raise ValueError("n must be >= 1")
     L = theta.L
@@ -320,7 +319,6 @@ def classify_cooperativity(theta: ParamVector, tol: float = 1e-3) -> Cooperativi
     three families inside [1-tol, 1+tol].  A single channel has no ratios and
     is reported zero; a vanishing denominator gives indeterminate.
     """
-    validate_theta(theta)
     if not tol > 0:
         raise ValueError("tol must be positive")
     L = theta.L

@@ -50,22 +50,26 @@ def _truth_metrics(recording: Recording, ideal: Idealisation, trace: DiscreteTra
     return metrics
 
 
+def fit_ladder(levels, weights, L: int | None = None, max_L: int = 20,
+               gap_factor: float = 3.0) -> LevelLadder:
+    """The ladder of L + 1 equally spaced rungs that the weighted levels
+    group into, L selected from the level gaps unless given.  A single
+    distinct level cannot anchor a spacing; it becomes rung 0 of a ladder
+    spaced at the data scale."""
+    if L is None:
+        L = select_L(levels, weights, max_L=max_L, gap_factor=gap_factor)
+    if len(np.unique(levels)) >= 2:
+        return equal_spacing_cluster(levels, weights, L=int(L))
+    scale = max(abs(float(levels[0])), 1.0)
+    return LevelLadder(L=int(L), offset=float(levels[0]), spacing=scale)
+
+
 def discretise_idealisation(ideal: Idealisation, L: int | None = None, max_L: int = 20,
                             gap_factor: float = 3.0) -> DiscreteTrace:
-    """Open-channel counts of an idealisation: the levels are grouped into
-    L + 1 equally spaced rungs (L selected from the level gaps unless given)
-    and each sample maps to its nearest rung.  A single idealised level
-    cannot anchor a spacing; it becomes rung 0 of a ladder spaced at the
-    data scale."""
-    levels = ideal.fit.levels
-    durations = ideal.fit.durations()
-    if L is None:
-        L = select_L(levels, durations, max_L=max_L, gap_factor=gap_factor)
-    if len(np.unique(levels)) >= 2:
-        ladder = equal_spacing_cluster(levels, durations, L=int(L))
-    else:
-        scale = max(abs(float(levels[0])), 1.0)
-        ladder = LevelLadder(L=int(L), offset=float(levels[0]), spacing=scale)
+    """Open-channel counts of an idealisation: its duration-weighted levels
+    fit the ladder, and each sample maps to its nearest rung."""
+    ladder = fit_ladder(ideal.fit.levels, ideal.fit.durations(), L, max_L=max_L,
+                        gap_factor=gap_factor)
     return discretise_trace(ideal, ladder, ideal.sample_rate)
 
 

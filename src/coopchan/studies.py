@@ -11,11 +11,10 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from .discretise import equal_spacing_cluster, select_L
 from .idealise import empirical_fdr, muscle_fit
 from .infer import empirical_transition_matrix, mde_fit
 from .model import ParamVector, classify_cooperativity, simulate_vnd
-from .pipeline import run_pipeline
+from .pipeline import fit_ladder, run_pipeline
 from .synth import NoiseSpec, make_kernel, synthesize_recording
 
 L2_SCENARIOS = {
@@ -128,8 +127,8 @@ def _channel_count_rep(args) -> dict:
     trace = simulate_vnd(theta, n, seed=rep_seed(base_seed, rep))
     s = trace.sums.astype(float)
     levels, counts = np.unique(s, return_counts=True)
-    L_hat = select_L(levels, counts.astype(float), max_L=20)
-    ladder = equal_spacing_cluster(levels, counts.astype(float), L=L_hat)
+    ladder = fit_ladder(levels, counts.astype(float))
+    L_hat = ladder.L
     values = ladder.nearest_rung(s)
     q_hat = empirical_transition_matrix(values, L=L_hat)
     fit = mde_fit(q_hat, L_hat)

@@ -11,7 +11,10 @@ from coopchan.discretise import (
     select_L,
 )
 from coopchan.idealise import Idealisation, muscle_fit
-from coopchan.model import ParamVector
+from coopchan.infer import empirical_transition_matrix, mde_fit
+from coopchan.model import ParamVector, classify_cooperativity, simulate_vnd
+from coopchan.pipeline import discretise_idealisation, fit_ladder
+from coopchan.studies import _channel_count_rep, l20_scenario, rep_seed
 from coopchan.synth import synthesize_recording
 
 
@@ -189,3 +192,70 @@ class TestDiscretiseTrace:
         assert L == truth.max() - truth.min()
         mismatch = np.mean(trace.values + truth.min() != truth)
         assert mismatch < 0.02
+
+
+def reference_ladder(levels, weights, L=None, max_L=20, gap_factor=3.0):
+    """The ladder fit as discretise_idealisation wrote it inline, before
+    fit_ladder owned it."""
+    if L is None:
+        L = select_L(levels, weights, max_L=max_L, gap_factor=gap_factor)
+    if len(np.unique(levels)) >= 2:
+        return equal_spacing_cluster(levels, weights, L=int(L))
+    scale = max(abs(float(levels[0])), 1.0)
+    return LevelLadder(L=int(L), offset=float(levels[0]), spacing=scale)
+
+
+def reference_channel_count_rep(args):
+    """One repetition of the channel-count study with its ladder chosen by
+    the inline select_L -> equal_spacing_cluster -> nearest_rung sequence
+    the study used before it went through fit_ladder."""
+    scenario, rep, base_seed, n = args
+    trace = simulate_vnd(l20_scenario(scenario), n, seed=rep_seed(base_seed, rep))
+    s = trace.sums.astype(float)
+    levels, counts = np.unique(s, return_counts=True)
+    L_hat = select_L(levels, counts.astype(float), max_L=20)
+    ladder = equal_spacing_cluster(levels, counts.astype(float), L=L_hat)
+    fit = mde_fit(empirical_transition_matrix(ladder.nearest_rung(s), L=L_hat), L_hat)
+    report = classify_cooperativity(fit.theta_hat)
+    ratios = np.concatenate([
+        report.lambda_ratios, report.eta_open_ratios, report.eta_close_ratios,
+    ])
+    return {"rep": rep, "L_hat": int(L_hat), "verdict": report.verdict.value,
+            "ratios": [float(r) for r in ratios], "objective": fit.objective}
+
+
+class TestFitLadder:
+    @pytest.mark.parametrize("level", [1.7, -0.2, 0.0, -3e5])
+    @pytest.mark.parametrize("L", [None, 1, 4])
+    def test_single_level_is_rung_zero(self, level, L):
+        ladder = fit_ladder(np.array([level]), np.array([6.0]), L)
+        assert ladder == reference_ladder(np.array([level]), np.array([6.0]), L)
+        assert (ladder.L, ladder.offset) == (L or 1, level)
+        ideal = ideal_from_steps([0, 6], [level])
+        trace = discretise_idealisation(ideal, L)
+        assert trace.ladder == ladder
+        np.testing.assert_array_equal(trace.values, np.zeros(6))
+
+    @pytest.mark.parametrize("L", [None, 1, 2, 3, 5])
+    def test_matches_the_inline_fit(self, L):
+        ideal = ideal_from_steps([0, 3.5, 5.5, 9.5, 10.5, 14], [0.1, 2.05, 0.98, 1.52, 3.0])
+        levels, durations = ideal.fit.levels, ideal.fit.durations()
+        ladder = fit_ladder(levels, durations, L)
+        assert ladder == reference_ladder(levels, durations, L)
+        if L is not None:
+            assert ladder.L == L
+        trace = discretise_idealisation(ideal, L)
+        assert trace.ladder == ladder
+        np.testing.assert_array_equal(trace.values,
+                                      discretise_trace(ideal, ladder, 1.0).values)
+
+    def test_selection_arguments_reach_select_L(self):
+        levels, weights = np.arange(8.0), np.ones(8)
+        assert fit_ladder(levels, weights, max_L=5).L == select_L(levels, max_L=5) == 5
+        with pytest.raises(ValueError, match="gap_factor"):
+            fit_ladder(levels, weights, gap_factor=-1.0)
+
+    @pytest.mark.parametrize("scenario", ["zero", "negative"])
+    def test_channel_count_rep_matches_the_inline_sequence(self, scenario):
+        args = (scenario, 0, 11, 20_000)
+        assert _channel_count_rep(args) == reference_channel_count_rep(args)

@@ -12,7 +12,7 @@ from coopchan import io as cio
 from coopchan.cli import main
 from coopchan.core import DiscreteTrace, LevelLadder, StepFunction
 from coopchan.idealise import Idealisation, muscle_fit
-from coopchan.model import ParamVector, simulate_vnd
+from coopchan.model import OutOfRange, ParamVector, simulate_vnd
 from coopchan.synth import NoiseSpec, Recording, make_kernel, synthesize_recording
 
 
@@ -44,6 +44,20 @@ def reference_discrete_csv(trace, sample_rate):
     times = np.arange(1, len(trace) + 1) / sample_rate
     rows = map("{:.9f},{}".format, times.tolist(), trace.values.tolist())
     return "time,open_channels\n" + "\n".join(rows) + "\n"
+
+
+def reference_histogram_csv(bin_left, bin_right, count):
+    lines = ["bin_left,bin_right,count"]
+    lines += [f"{float(a)!r},{float(b)!r},{float(c)!r}"
+              for a, b, c in zip(bin_left, bin_right, count)]
+    return "\n".join(lines) + "\n"
+
+
+def sidecar_recording(path):
+    """A simulated 300-sample recording with truth, written to ``path``."""
+    rec = synthesize_recording(ParamVector(1, [0.99], [0.99]), 300, 1000.0, kernel="bspline2",
+                               noise=NoiseSpec("gaussian", sigma=0.05), seed=3)
+    cio.write_recording(rec, path)
 
 
 awkward_floats = st.one_of(
@@ -161,14 +175,44 @@ class TestIORoundTrips:
                              n_switches=len(levels) - 1, feasible=True, sample_rate=rate)
         trace = DiscreteTrace(values=np.array(counts, dtype=dtype),
                               ladder=LevelLadder(L=20, offset=0.0, spacing=1.0))
+        # histogram bins from the floats, counts as integers or floats
+        m = min(len(values), len(counts))
+        bins = (np.array(values[:m]), np.array(values[::-1][:m]))
+        int_counts, float_counts = np.array(counts[:m], dtype=dtype), np.array(values[:m])
         with tempfile.TemporaryDirectory() as tmp:
             tmp = Path(tmp)
             cio.write_recording(rec, tmp / "rec.csv")
             cio.write_idealisation(ideal, tmp / "ideal.csv")
             cio.write_discrete(trace, rate, tmp / "disc.csv")
+            cio.write_histogram(*bins, int_counts, tmp / "hist_int.csv")
+            cio.write_histogram(*bins, float_counts, tmp / "hist_float.csv")
             assert read_bytes(tmp / "rec.csv") == reference_recording_csv(rec).encode()
             assert read_bytes(tmp / "ideal.csv") == reference_idealisation_csv(ideal).encode()
             assert read_bytes(tmp / "disc.csv") == reference_discrete_csv(trace, rate).encode()
+            assert read_bytes(tmp / "hist_int.csv") == \
+                reference_histogram_csv(*bins, int_counts).encode()
+            assert read_bytes(tmp / "hist_float.csv") == \
+                reference_histogram_csv(*bins, float_counts).encode()
+
+    def test_truth_theta_out_of_range_is_rejected(self, tmp_path):
+        path = tmp_path / "rec.csv"
+        sidecar_recording(path)
+        meta = cio.load_json(cio.meta_path(path))
+        meta["truth"]["theta"]["lam"][0] = 1.7
+        cio.dump_json(meta, cio.meta_path(path))
+        with pytest.raises(OutOfRange, match=r"lambda\[0\] = 1.7"):
+            cio.read_recording(path)
+
+    @pytest.mark.parametrize("keep", [200, 299])
+    def test_truncated_recording_is_rejected(self, tmp_path, keep):
+        # the sidecar's truth describes n_samples samples; a CSV cut short
+        # cannot be compared with it
+        path = tmp_path / "rec.csv"
+        sidecar_recording(path)
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(lines[:1 + keep]))
+        with pytest.raises(ValueError, match=f"holds {keep} samples .* describes 300"):
+            cio.read_recording(path)
 
     def test_csv_layout_rules(self, tmp_path):
         # leading blank lines and an optional header are skipped, further
@@ -421,6 +465,35 @@ class TestCli:
         assert result.exit_code == 4
         assert "gap_factor" in result.output
         assert not (out / "report.json").exists()
+
+    @pytest.mark.parametrize("edit", ["theta", "truncate"])
+    def test_bad_sidecar_truth_exit_code(self, runner, tmp_path, edit):
+        # an impossible truth theta, or a CSV cut short of the sidecar's
+        # n_samples, is unreadable input: no stage runs
+        path = tmp_path / "rec.csv"
+        sidecar_recording(path)
+        if edit == "theta":
+            meta = cio.load_json(cio.meta_path(path))
+            meta["truth"]["theta"]["lam"][0] = 1.7
+            cio.dump_json(meta, cio.meta_path(path))
+        else:
+            path.write_text("".join(path.read_text().splitlines(keepends=True)[:201]))
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["pipeline", "--input", str(path), "--out", str(out)])
+        assert result.exit_code == 2
+        assert "cannot read" in result.output
+        assert sorted(p.name for p in out.iterdir()) == ["run_config.json"]
+
+    @pytest.mark.parametrize("command", [
+        ["simulate", "--theta", "0.9,0.9"],
+        ["reproduce", "fdr-check", "--reps", "1"],
+    ])
+    def test_negative_seed_exit_code(self, runner, tmp_path, command):
+        out = tmp_path / "out"
+        result = runner.invoke(main, [*command, "--seed", "-1", "--out", str(out)])
+        assert result.exit_code == 2
+        assert "--seed" in result.output
+        assert sorted(p.name for p in out.iterdir()) == ["run_config.json"]
 
     def test_empty_l_sweep_exit_code(self, runner, tmp_path):
         rec = synthesize_recording(ParamVector(1, [0.99], [0.99]), 500, 1000.0,

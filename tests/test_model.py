@@ -35,7 +35,6 @@ def is_identifiable(theta: ParamVector) -> Identifiability:
     lam_{L/2} >= 1 - eta_{L/2} (or the reverse), with the '+' branch reported
     at equality.
     """
-    validate_theta(theta)
     if theta.L % 2 == 1:
         return Identifiability.IDENTIFIABLE
     half = theta.L // 2
@@ -106,6 +105,28 @@ class TestValidate:
     def test_wrong_arity(self):
         with pytest.raises(WrongArity):
             validate_theta(ParamVector(2, [0.5], [0.5, 0.5]))
+
+    @pytest.mark.parametrize("lam, eta, name, index", [
+        ([0.5, 1.0 + 1e-12], [0.5, 0.5], "lambda", 1),
+        ([0.5, 0.5], [-1e-300, 0.5], "eta", 0),
+        ([np.nan, 0.5], [0.5, 0.5], "lambda", 0),
+        ([0.5, 0.5], [0.5, np.nan], "eta", 1),
+    ])
+    def test_construction_rejects_an_entry_outside_the_box(self, lam, eta, name, index):
+        # a ParamVector is valid once it exists: the constructor checks itself
+        with pytest.raises(OutOfRange) as err:
+            ParamVector(2, lam, eta)
+        assert (err.value.name, err.value.index) == (name, index)
+        with pytest.raises(OutOfRange):
+            ParamVector.from_flat(lam + eta)
+
+    @pytest.mark.parametrize("L, lam, eta", [
+        (2, [0.5], [0.5, 0.5]), (2, [0.5, 0.5], [0.5, 0.5, 0.5]), (1, [0.5, 0.5], [0.5]),
+        (0, [], []), (0, [0.5], [0.5]),
+    ])
+    def test_construction_rejects_wrong_arity(self, L, lam, eta):
+        with pytest.raises(WrongArity):
+            ParamVector(L, lam, eta)
 
     def test_flat_round_trip(self):
         theta = ParamVector.from_flat([0.1, 0.2, 0.3, 0.4, 0.5, 0.6])
