@@ -2,9 +2,9 @@
 
 Exit codes: 0 success, 2 invalid configuration or unreadable input, 3 I/O
 failure, 4 stage failure (artifacts produced before the failure are kept).
-Every command writes a resolved-config snapshot (run_config.json) into its
-output directory before it does any work, so reruns with the same snapshot
-are byte identical.
+Every command writes a snapshot of the options the user set (run_config.json)
+into its output directory before it does any work; a rerun given it as
+--config, with the same arguments, is byte identical.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from pathlib import Path
 
 import click
 import numpy as np
+from click.core import ParameterSource
 
 from . import io as cio
 from . import plots
@@ -28,15 +29,21 @@ from .studies import STUDY_TABLES
 from .synth import NoiseSpec, make_kernel, synthesize_recording
 
 ENV_OUT_DIR = "COOPCHAN_OUT_DIR"
+# the sources of the option values a run_config.json snapshot records
+_USER_SET = (ParameterSource.COMMANDLINE, ParameterSource.DEFAULT_MAP)
 
 
 class InvalidConfig(click.UsageError):
     pass
 
 
-def _load_config(config_path: str | None) -> dict:
+def _load_config(ctx, param, config_path: str | None) -> None:
+    """The eager --config option: the file's values become the command's
+    default_map, so click parses each as it parses the same flag.  JSON null
+    means unset; a key that names no option is invalid configuration, apart
+    from the "command" a run_config.json snapshot carries."""
     if not config_path:
-        return {}
+        return
     try:
         cfg = cio.load_json(config_path)
     except FileNotFoundError as err:
@@ -45,16 +52,12 @@ def _load_config(config_path: str | None) -> dict:
         raise InvalidConfig(f"config file is not valid JSON: {err}") from err
     if not isinstance(cfg, dict):
         raise InvalidConfig("config file must hold a JSON object")
-    return cfg
-
-
-def _resolve(config: dict, flags: dict) -> dict:
-    """Explicit flags override config-file values; None means unset."""
-    resolved = dict(config)
-    for key, value in flags.items():
-        if value is not None:
-            resolved[key] = value
-    return resolved
+    options = {p.name for p in ctx.command.params if isinstance(p, click.Option) and p.expose_value}
+    unknown = sorted(set(cfg) - options - {"command"})
+    if unknown:
+        raise InvalidConfig(f"config file names no option of {ctx.info_name}: {', '.join(unknown)}")
+    ctx.default_map = {key: str(value) for key, value in cfg.items()
+                       if key != "command" and value is not None}
 
 
 def _fail(code: int, message: str):
@@ -87,15 +90,17 @@ def _parse_theta(theta_str: str | None, channels: int | None) -> ParamVector:
         raise InvalidConfig(str(err)) from err
 
 
-def _int_at_least(resolved: dict, key: str, default: int, least: int) -> int:
-    """Integer option ``key``; a value below ``least`` is invalid configuration."""
-    value = int(resolved.get(key, default))
-    if value < least:
-        raise InvalidConfig(f"--{key} must be at least {least}, got {value}")
+def _int_at_least(resolved: dict, key: str, least: int) -> int | None:
+    """Integer option ``key``, None when unset; a value below ``least`` is
+    invalid configuration."""
+    value = resolved[key]
+    if value is not None and value < least:
+        flag = next(p.opts[0] for p in click.get_current_context().command.params if p.name == key)
+        raise InvalidConfig(f"{flag} must be at least {least}, got {value}")
     return value
 
 
-@click.group()
+@click.group(context_settings={"show_default": True})
 def main():
     """Analysis of cooperative gating in ion-channel ensembles from
     sum-conductance recordings."""
@@ -104,25 +109,27 @@ def main():
 def _command(fn):
     """Register ``fn(*arguments, resolved, out)`` as a subcommand with
     --config and --out.  Flags override the config's values; the output
-    directory and its run_config.json snapshot are written first, under the
-    command's name followed by its arguments.  Failures exit 3 for I/O and
-    4 for a stage's ValueError; InvalidConfig is click's usage error, 2."""
+    directory and its run_config.json snapshot of the options the user set
+    are written first, under the command's name followed by its arguments.
+    Failures exit 3 for I/O and 4 for a stage's ValueError; InvalidConfig is
+    click's usage error, 2."""
     name = fn.__name__.replace("_", "-")
     arguments = [p.name for p in getattr(fn, "__click_params__", [])
                  if isinstance(p, click.Argument)]
 
     @main.command(name)
-    @click.option("--config", "config_path", type=click.Path(), default=None,
-                  help="JSON config; explicit flags override it.")
-    @click.option("--out", default=None, help="Output directory.")
+    @click.option("--config", type=click.Path(), is_eager=True, expose_value=False,
+                  callback=_load_config, help="JSON config; explicit flags override it.")
+    @click.option("--out", help="Output directory [default: $COOPCHAN_OUT_DIR or ./coopchan-out].")
     @functools.wraps(fn)
-    def run(config_path, **flags):
-        args = [flags.pop(a) for a in arguments]
-        resolved = _resolve(_load_config(config_path), flags)
+    def run(**resolved):
+        args = [resolved.pop(a) for a in arguments]
+        source = click.get_current_context().get_parameter_source
         try:
-            out = Path(resolved.get("out") or os.environ.get(ENV_OUT_DIR, "coopchan-out"))
+            out = Path(resolved["out"] or os.environ.get(ENV_OUT_DIR, "coopchan-out"))
             out.mkdir(parents=True, exist_ok=True)
-            snapshot = {"command": ":".join([name, *args]), **resolved, "out": str(out)}
+            user_set = {key: value for key, value in resolved.items() if source(key) in _USER_SET}
+            snapshot = {"command": ":".join([name, *args]), **user_set, "out": str(out)}
             cio.dump_json(snapshot, out / "run_config.json")
             fn(*args, resolved, out)
         except OSError as err:
@@ -135,45 +142,41 @@ def _command(fn):
 @_command
 @click.option("--theta", default=None, help="2L stay probabilities, comma separated.")
 @click.option("--channels", type=int, default=None, help="Channel count L (checked against --theta).")
-@click.option("--n", type=int, default=None, help="Number of samples (default 1200).")
-@click.option("--rate", type=float, default=None, help="Sampling rate in Hz (default 10000).")
-@click.option("--offset", type=float, default=None, help="Baseline conductance (default 0).")
-@click.option("--spacing", type=float, default=None, help="Conductance per open channel (default 1).")
+@click.option("--n", type=int, default=1200, help="Number of samples.")
+@click.option("--rate", type=float, default=10_000.0, help="Sampling rate in Hz.")
+@click.option("--offset", type=float, default=0.0, help="Baseline conductance.")
+@click.option("--spacing", type=float, default=1.0, help="Conductance per open channel.")
 @click.option("--kernel", "kernel_kind", type=click.Choice(["identity", "bspline2", "bessel"]),
-              default=None, help="Acquisition low-pass kernel (default bessel).")
-@click.option("--bessel-order", type=int, default=None)
+              default="bessel", help="Acquisition low-pass kernel.")
+@click.option("--bessel-order", type=int, default=4)
 @click.option("--bessel-cutoff", type=float, default=None, help="Hz (default 0.1 * rate).")
 @click.option("--noise", "noise_kind", type=click.Choice(["gaussian", "cauchy", "mixture", "none"]),
-              default=None, help="Noise model (default gaussian).")
-@click.option("--sigma", type=float, default=None, help="Gaussian std (default 0.1).")
-@click.option("--cauchy-scale", type=float, default=None, help="Cauchy scale (default 0.05).")
-@click.option("--mixture-weight", type=float, default=None, help="Gaussian weight (default 0.85).")
-@click.option("--raw-noise", is_flag=True, default=None, help="Skip filtering the noise stream.")
-@click.option("--seed", type=int, default=None, help="RNG seed (default 0).")
+              default="gaussian", help="Noise model.")
+@click.option("--sigma", type=float, default=0.1, help="Gaussian std.")
+@click.option("--cauchy-scale", type=float, default=0.05, help="Cauchy scale.")
+@click.option("--mixture-weight", type=float, default=0.85, help="Gaussian weight.")
+@click.option("--raw-noise", is_flag=True, help="Skip filtering the noise stream.")
+@click.option("--seed", type=int, default=0, help="RNG seed.")
 def simulate(resolved, out):
     """Simulate a recording and write recording.csv plus metadata."""
-    theta = _parse_theta(resolved.get("theta"), resolved.get("channels"))
-    n = int(resolved.get("n", 1200))
-    rate = float(resolved.get("rate", 10_000.0))
-    kernel = make_kernel(resolved.get("kernel_kind", "bessel"), rate,
-                         order=int(resolved.get("bessel_order") or 4),
-                         cutoff=resolved.get("bessel_cutoff"))
-    noise_kind = resolved.get("noise_kind", "gaussian")
-    if noise_kind == "none":
+    n = _int_at_least(resolved, "n", 1)
+    order = _int_at_least(resolved, "bessel_order", 1)
+    seed = _int_at_least(resolved, "seed", 0)
+    theta = _parse_theta(resolved["theta"], resolved["channels"])
+    kernel = make_kernel(resolved["kernel_kind"], resolved["rate"], order=order,
+                         cutoff=resolved["bessel_cutoff"])
+    if resolved["noise_kind"] == "none":
         noise = None
     else:
         noise = NoiseSpec(
-            kind=noise_kind,
-            sigma=float(resolved.get("sigma", 0.1)),
-            scale=float(resolved.get("cauchy_scale", 0.05)),
-            weight_gaussian=float(resolved.get("mixture_weight", 0.85)),
-            filtered=not bool(resolved.get("raw_noise", False)),
+            kind=resolved["noise_kind"],
+            sigma=resolved["sigma"],
+            scale=resolved["cauchy_scale"],
+            weight_gaussian=resolved["mixture_weight"],
+            filtered=not resolved["raw_noise"],
         )
-    rec = synthesize_recording(theta, n, rate,
-                               offset=float(resolved.get("offset", 0.0)),
-                               spacing=float(resolved.get("spacing", 1.0)),
-                               kernel=kernel, noise=noise,
-                               seed=_int_at_least(resolved, "seed", 0, 0))
+    rec = synthesize_recording(theta, n, resolved["rate"], offset=resolved["offset"],
+                               spacing=resolved["spacing"], kernel=kernel, noise=noise, seed=seed)
     cio.write_recording(rec, out / "recording.csv")
     click.echo(f"wrote {out / 'recording.csv'} ({n} samples)")
 
@@ -185,16 +188,16 @@ def _plot_idealisation(path, rec, ideal, title: str) -> None:
 
 @_command
 @click.option("--input", "input_path", required=True, type=click.Path())
-@click.option("--alpha", type=float, default=None, help="Over-segmentation level (default 0.1).")
+@click.option("--alpha", type=float, default=0.1, help="Over-segmentation level.")
 @click.option("--rate", type=float, default=None, help="Sampling rate when no sidecar metadata exists.")
-@click.option("--plots", "want_plots", is_flag=True, default=None)
+@click.option("--plots", "want_plots", is_flag=True)
 def idealise(resolved, out):
     """Fit a minimum-switch step function to a recording."""
-    rec = _read_input(cio.read_recording, resolved["input_path"], resolved.get("rate"))
-    alpha = float(resolved.get("alpha", 0.1))
+    rec = _read_input(cio.read_recording, resolved["input_path"], resolved["rate"])
+    alpha = resolved["alpha"]
     ideal = muscle_fit(rec, alpha=alpha)
     cio.write_idealisation(ideal, out / "idealisation.csv")
-    if resolved.get("want_plots"):
+    if resolved["want_plots"]:
         _plot_idealisation(out / "idealisation.svg", rec, ideal,
                            f"idealisation (alpha={alpha}, switches={ideal.n_switches})")
     click.echo(f"switches: {ideal.n_switches} feasible: {ideal.feasible}")
@@ -204,14 +207,14 @@ def idealise(resolved, out):
 @click.option("--input", "input_path", required=True, type=click.Path(),
               help="idealisation.csv from the idealise command.")
 @click.option("--L", "channels", type=int, default=None, help="Skip channel-count selection.")
-@click.option("--max-L", "max_l", type=int, default=None, help="Cap for selected L (default 20).")
-@click.option("--gap-factor", type=float, default=None, help="Gap splitting factor (default 3).")
+@click.option("--max-L", "max_l", type=int, default=20, help="Cap for selected L.")
+@click.option("--gap-factor", type=float, default=3.0, help="Gap splitting factor.")
 def discretise(resolved, out):
     """Map idealised levels to open-channel counts."""
+    L = _int_at_least(resolved, "channels", 1)
+    max_L = _int_at_least(resolved, "max_l", 1)
     ideal = _read_input(cio.read_idealisation, resolved["input_path"])
-    trace = discretise_idealisation(ideal, resolved.get("channels"),
-                                    max_L=int(resolved.get("max_l", 20)),
-                                    gap_factor=float(resolved.get("gap_factor", 3.0)))
+    trace = discretise_idealisation(ideal, L, max_L=max_L, gap_factor=resolved["gap_factor"])
     cio.write_discrete(trace, ideal.sample_rate, out / "discrete.csv")
     ladder = trace.ladder
     click.echo(f"L: {ladder.L} offset: {ladder.offset:.6g} spacing: {ladder.spacing:.6g}")
@@ -220,21 +223,20 @@ def discretise(resolved, out):
 @_command
 @click.option("--input", "input_path", required=True, type=click.Path(),
               help="discrete.csv from the discretise command.")
-@click.option("--tolerance", type=float, default=None, help="Verdict ratio tolerance (default 1e-3).")
-@click.option("--branch", type=click.Choice(["auto", "plus", "minus"]), default=None)
+@click.option("--tolerance", type=float, default=1e-3, help="Verdict ratio tolerance.")
+@click.option("--branch", type=click.Choice(["auto", "plus", "minus"]), default="auto")
 def infer(resolved, out):
     """Fit the coupled-chain parameters and classify cooperativity."""
     trace, _ = _read_input(cio.read_discrete, resolved["input_path"])
-    fit = mde_fit(empirical_transition_matrix(trace), trace.ladder.L,
-                  branch=resolved.get("branch", "auto"))
-    report = cooperativity_report(fit.theta_hat, tol=float(resolved.get("tolerance", 1e-3)))
+    fit = mde_fit(empirical_transition_matrix(trace), trace.ladder.L, branch=resolved["branch"])
+    report = cooperativity_report(fit.theta_hat, tol=resolved["tolerance"])
     cio.dump_json(cio.report_to_dict(report, fit.diagnostics, fit.objective),
                   out / "report.json")
     click.echo(f"verdict: {report.verdict.value} objective: {fit.objective:.3e}")
 
 
 def _pipeline_once(rec, resolved, out: Path, L_override, suffix=""):
-    alpha = float(resolved.get("alpha", 0.1))
+    alpha = resolved["alpha"]
 
     def persist_stage(name, value):
         # write each stage's artifact as soon as it exists, so a later
@@ -251,9 +253,9 @@ def _pipeline_once(rec, resolved, out: Path, L_override, suffix=""):
         rec,
         alpha=alpha,
         L=L_override,
-        max_L=int(resolved.get("max_l", 20)),
-        gap_factor=float(resolved.get("gap_factor", 3.0)),
-        tolerance=float(resolved.get("tolerance", 1e-3)),
+        max_L=resolved["max_l"],
+        gap_factor=resolved["gap_factor"],
+        tolerance=resolved["tolerance"],
         stage_hook=persist_stage,
     )
     cio.dump_json(
@@ -261,7 +263,7 @@ def _pipeline_once(rec, resolved, out: Path, L_override, suffix=""):
                            metrics={**result.metrics, "selected_L": result.selected_L,
                                     "alpha": alpha, "feasible": result.idealisation.feasible}),
         out / f"report{suffix}.json")
-    if resolved.get("want_plots"):
+    if resolved["want_plots"]:
         _plot_idealisation(out / f"trace{suffix}.svg", rec, result.idealisation,
                            "recording and idealisation")
         counts, edges = level_histogram(result.idealisation, rec.sample_rate)
@@ -272,31 +274,36 @@ def _pipeline_once(rec, resolved, out: Path, L_override, suffix=""):
 
 @_command
 @click.option("--input", "input_path", required=True, type=click.Path())
-@click.option("--alpha", type=float, default=None)
+@click.option("--alpha", type=float, default=0.1)
 @click.option("--L", "channels", type=int, default=None, help="Skip channel-count selection.")
 @click.option("--L-sweep", "l_sweep", default=None, metavar="A:B",
               help="Run once per L in the range, e.g. 2:6.")
-@click.option("--max-L", "max_l", type=int, default=None)
-@click.option("--gap-factor", type=float, default=None)
-@click.option("--tolerance", type=float, default=None)
+@click.option("--max-L", "max_l", type=int, default=20)
+@click.option("--gap-factor", type=float, default=3.0)
+@click.option("--tolerance", type=float, default=1e-3)
 @click.option("--rate", type=float, default=None)
-@click.option("--plots", "want_plots", is_flag=True, default=None)
+@click.option("--plots", "want_plots", is_flag=True)
 def pipeline(resolved, out):
     """Full analysis: idealise, discretise, infer, report."""
-    rec = _read_input(cio.read_recording, resolved["input_path"], resolved.get("rate"))
-    sweep = resolved.get("l_sweep")
+    L = _int_at_least(resolved, "channels", 1)
+    _int_at_least(resolved, "max_l", 1)
+    sweep = resolved["l_sweep"]
     if sweep:
         try:
-            lo, hi = (int(v) for v in str(sweep).split(":"))
+            lo, hi = (int(v) for v in sweep.split(":"))
         except ValueError as err:
             raise InvalidConfig(f"cannot parse --L-sweep {sweep!r}") from err
         if hi < lo:
             raise InvalidConfig(f"--L-sweep {sweep!r} is an empty range")
+        if lo < 1:
+            raise InvalidConfig(f"--L-sweep {sweep!r} starts below 1")
+    rec = _read_input(cio.read_recording, resolved["input_path"], resolved["rate"])
+    if sweep:
         for L in range(lo, hi + 1):
             result = _pipeline_once(rec, resolved, out, L, suffix=f"_L{L}")
             click.echo(f"L={L}: verdict {result.report.verdict.value}")
     else:
-        result = _pipeline_once(rec, resolved, out, resolved.get("channels"))
+        result = _pipeline_once(rec, resolved, out, L)
         click.echo(f"selected L: {result.selected_L} "
                    f"verdict: {result.report.verdict.value} "
                    f"switches: {result.idealisation.n_switches}")
@@ -320,16 +327,16 @@ def markov_test(resolved, out):
 @_command
 @click.option("--input", "input_path", required=True, type=click.Path())
 @click.option("--state", type=int, default=None, help="Single state (default: all visited).")
-@click.option("--plots", "want_plots", is_flag=True, default=None)
+@click.option("--plots", "want_plots", is_flag=True)
 def dwell(resolved, out):
     """Per-state dwell-time histograms with exponential fits."""
     trace, rate = _read_input(cio.read_discrete, resolved["input_path"])
-    states = ([resolved["state"]] if resolved.get("state") is not None
+    states = ([resolved["state"]] if resolved["state"] is not None
               else sorted(np.unique(trace.values).tolist()))
     summary = {}
     for s in states:
         try:
-            fit = dwell_times(trace, int(s), rate)
+            fit = dwell_times(trace, s, rate)
         except NoVisits:
             summary[str(s)] = {"rate": None, "n_dwells": 0, "note": "no interior dwells"}
             continue
@@ -337,7 +344,7 @@ def dwell(resolved, out):
                             out / f"dwell_state{s}.csv")
         summary[str(s)] = {"rate": fit.rate, "n_dwells": len(fit.samples),
                            "mean_dwell_s": float(fit.samples.mean())}
-        if resolved.get("want_plots"):
+        if resolved["want_plots"]:
             centers = 0.5 * (fit.hist_edges[:-1] + fit.hist_edges[1:])
             width = fit.hist_edges[1] - fit.hist_edges[0]
             overlay_y = len(fit.samples) * width * fit.rate * np.exp(-fit.rate * centers)
@@ -351,14 +358,14 @@ def dwell(resolved, out):
 @_command
 @click.argument("study", type=click.Choice(list(STUDY_TABLES)))
 @click.option("--reps", type=int, default=None, help="Repetitions per cell (study-specific default).")
-@click.option("--seed", type=int, default=None, help="Base seed (default 0).")
-@click.option("--threads", type=int, default=None, help="Worker processes (default 1).")
+@click.option("--seed", type=int, default=0, help="Base seed.")
+@click.option("--threads", type=int, default=1, help="Worker processes.")
 def reproduce(study, resolved, out):
     """Seeded Monte-Carlo studies; writes per-repetition CSV and a summary."""
     table, default_reps = STUDY_TABLES[study]
-    reps = _int_at_least(resolved, "reps", default_reps, 1)
-    threads = _int_at_least(resolved, "threads", 1, 1)
-    seed = _int_at_least(resolved, "seed", 0, 0)
+    reps = _int_at_least(resolved, "reps", 1) or default_reps
+    threads = _int_at_least(resolved, "threads", 1)
+    seed = _int_at_least(resolved, "seed", 0)
     lines, summary = table(study, reps, base_seed=seed, threads=threads)
     (out / f"{study}.csv").write_text("\n".join(lines) + "\n")
     cio.dump_json(summary, out / f"{study}.json")

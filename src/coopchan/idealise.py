@@ -221,12 +221,9 @@ class _Segmenter:
 
     # -- feasibility ----------------------------------------------------------
 
-    def feasible(self, a: int, b: int, c: float | None = None) -> bool:
+    def feasible(self, a: int, b: int) -> bool:
         """Whether every tested window of [a, b) passes its sign-count
-        bounds at level c (by default the segment level, whose verdict is
-        remembered per span)."""
-        if c is not None:
-            return self._passes(a, b, c)
+        bounds at the segment level; the verdict is remembered per span."""
         verdict = self._verdicts.get((a, b))
         if verdict is None:
             verdict = self._verdicts[(a, b)] = self._passes(a, b, self.level(a, b))
@@ -446,15 +443,6 @@ def muscle_fit(recording: Recording, alpha: float = 0.1) -> Idealisation:
         feasible=feasible,
         sample_rate=rate,
     )
-
-
-def check_idealisation(recording: Recording, ideal: Idealisation) -> bool:
-    """Re-verify an idealisation against its own sign-count constraints."""
-    prob = _Segmenter.from_recording(recording, ideal.alpha)
-    rate = recording.sample_rate
-    starts = [0] + [int(round(t * rate - 0.5)) for t in ideal.fit.breaks[1:-1]]
-    ends = starts[1:] + [len(recording.samples)]
-    return all(prob.feasible(a, b) for a, b in zip(starts, ends))
 
 
 def empirical_fdr(true_K, est_K_samples) -> float:

@@ -127,7 +127,8 @@ def read_recording(path, sample_rate: float | None = None) -> Recording:
     further columns are ignored); the sidecar .meta.json restores the kernel
     and truth when present, otherwise the sampling rate must be supplied or
     is inferred from the time column, and an identity kernel is assumed.
-    Truth whose theta is invalid or whose n_samples is not the CSV's raises."""
+    A sidecar sample_rate that is not its kernel's finite positive rate, or
+    truth whose theta is invalid or whose n_samples is not the CSV's, raises."""
     path = Path(path)
     data = np.loadtxt(path, delimiter=",", usecols=(0, 1), ndmin=2,
                       skiprows=_first_sample_line(path))
@@ -138,6 +139,9 @@ def read_recording(path, sample_rate: float | None = None) -> Recording:
         meta = load_json(meta_file)
         kernel = kernel_from_dict(meta["kernel"])
         rate = float(meta["sample_rate"])
+        if not 0 < rate < np.inf or rate != kernel.sample_rate:
+            raise ValueError(f"sidecar sample_rate {rate!r} is not its kernel's finite, "
+                             f"positive sample_rate {kernel.sample_rate!r}")
         if "truth" in meta:
             if len(samples) != meta["n_samples"]:
                 raise ValueError(f"{path} holds {len(samples)} samples but its sidecar's "

@@ -13,7 +13,6 @@ from coopchan.core import StepFunction
 from coopchan.idealise import (
     InvalidAlpha,
     _Segmenter,
-    check_idealisation,
     empirical_fdr,
     extremum_table,
     muscle_fit,
@@ -44,6 +43,15 @@ def acceptance_recording(n, seed):
     kernel = make_kernel("bessel", 10_000.0, cutoff=2_500.0)
     return synthesize_recording(theta, n, 10_000.0, kernel=kernel,
                                 noise=NoiseSpec("gaussian", sigma=0.1), seed=seed)
+
+
+def check_idealisation(recording, ideal):
+    """Re-verify an idealisation against its own sign-count constraints."""
+    prob = _Segmenter.from_recording(recording, ideal.alpha)
+    rate = recording.sample_rate
+    starts = [0] + [int(round(t * rate - 0.5)) for t in ideal.fit.breaks[1:-1]]
+    ends = starts[1:] + [len(recording.samples)]
+    return all(prob.feasible(a, b) for a, b in zip(starts, ends))
 
 
 def exact_binomial_lower(m, level):
@@ -350,11 +358,9 @@ def tie_heavy_segmenter(n, stride, d, alpha, seed):
     return rng, _Segmenter(tie_heavy_samples(rng, n), d=d, stride=stride, alpha=alpha)
 
 
-def reference_feasible(prob, a, b, c=None):
-    """The feasibility probe that counts, with one counter over the whole
-    tested segment, every window whose cuts do not bracket c."""
-    if c is None:
-        c = prob.level(a, b)
+def reference_passes(prob, a, b, c):
+    """The feasibility test at level c that counts, with one counter over
+    the whole tested segment, every window whose cuts do not bracket c."""
     sd, bd = prob._dec_range(a, b)
     if bd - sd <= 1:
         return True
@@ -375,6 +381,11 @@ def reference_feasible(prob, a, b, c=None):
         if ((cnt < lower) | (cnt > length - lower)).any():
             return False
     return True
+
+
+def reference_feasible(prob, a, b):
+    """reference_passes at the segment level: the counting probe."""
+    return reference_passes(prob, a, b, prob.level(a, b))
 
 
 def fit_bytes(ideal):
@@ -432,7 +443,10 @@ class TestFeasibility:
         for _ in range(20):
             a, b = sorted(int(v) for v in rng.choice(n + 1, 2, replace=False))
             c = [None, prob.level(a, b), float(rng.integers(-2, 5))][int(rng.integers(3))]
-            assert prob.feasible(a, b, c) == reference_feasible(prob, a, b, c), (a, b, c)
+            if c is None:
+                assert prob.feasible(a, b) == reference_feasible(prob, a, b), (a, b)
+            else:
+                assert prob._passes(a, b, c) == reference_passes(prob, a, b, c), (a, b, c)
 
     @given(**tie_heavy_inputs)
     @settings(max_examples=100, deadline=None)
@@ -567,10 +581,10 @@ class TestScaling:
         total = 0
         feasible = prob.feasible
 
-        def counting(a, b, c=None):
+        def counting(a, b):
             nonlocal total
             total += b - a
-            return feasible(a, b, c)
+            return feasible(a, b)
 
         prob.feasible = counting
         prob.greedy_segments()
@@ -656,11 +670,11 @@ class TestScaling:
                 per_boundary[-1] += 1
             return counter(self, lo, hi, c)
 
-        def uncounted_feasible(self, a, b, c=None):
+        def uncounted_feasible(self, a, b):
             nonlocal counting
             outer, counting = counting, False
             try:
-                return feasible(self, a, b, c)
+                return feasible(self, a, b)
             finally:
                 counting = outer
 

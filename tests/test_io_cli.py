@@ -661,6 +661,115 @@ class TestCli:
         n_rows = len((out / "recording.csv").read_text().strip().splitlines()) - 1
         assert n_rows == 200
 
+    def test_config_null_means_unset(self, runner, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"theta": "0.99,0.99", "n": None}))
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["simulate", "--config", str(cfg), "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        assert len((out / "recording.csv").read_text().splitlines()) - 1 == 1200
+        assert "n" not in json.loads((out / "run_config.json").read_text())
+
+    @pytest.mark.parametrize("command, cfg, flag", [
+        (["simulate"], {"theta": "0.9,0.9", "n": [5]}, "--n"),
+        (["reproduce", "fdr-check"], {"reps": "many"}, "--reps"),
+        (["simulate"], {"theta": "0.9,0.9", "kernel_kind": "boxcar"}, "--kernel"),
+    ], ids=["list", "word", "choice"])
+    def test_config_value_is_parsed_as_its_flag(self, runner, tmp_path, command, cfg, flag):
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        result = runner.invoke(main, [*command, "--config", str(tmp_path / "cfg.json"),
+                                      "--out", str(out)])
+        assert result.exit_code == 2
+        assert flag in result.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("plots, svg", [("no", False), ("yes", True)])
+    def test_config_plots_value_is_a_boolean(self, runner, tmp_path, plots, svg):
+        sidecar_recording(tmp_path / "rec.csv")
+        (tmp_path / "cfg.json").write_text(json.dumps({"want_plots": plots}))
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["idealise", "--input", str(tmp_path / "rec.csv"),
+                                      "--config", str(tmp_path / "cfg.json"), "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        assert (out / "idealisation.svg").exists() == svg
+
+    def test_config_input_path_satisfies_input(self, runner, tmp_path):
+        sidecar_recording(tmp_path / "rec.csv")
+        (tmp_path / "cfg.json").write_text(json.dumps({"input_path": str(tmp_path / "rec.csv")}))
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["idealise", "--config", str(tmp_path / "cfg.json"),
+                                      "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        assert (out / "idealisation.csv").exists()
+
+    def test_unknown_config_key_exit_code(self, runner, tmp_path):
+        (tmp_path / "cfg.json").write_text(json.dumps({"theta": "0.9,0.9", "samples": 300}))
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["simulate", "--config", str(tmp_path / "cfg.json"),
+                                      "--out", str(out)])
+        assert result.exit_code == 2
+        assert "names no option of simulate: samples" in result.output
+        assert not out.exists()
+
+    def test_snapshot_as_config_reruns_byte_identically(self, runner, tmp_path):
+        # each run_config.json, passed back as --config, rewrites every file
+        # of its directory with the same bytes, the snapshot included
+        sim, pipe, study = tmp_path / "sim", tmp_path / "pipe", tmp_path / "study"
+        commands = [
+            ["simulate", "--theta", "0.998,0.996,0.996,0.998", "--n", "3000", "--rate", "1000",
+             "--kernel", "bspline2", "--sigma", "0.1", "--seed", "21", "--out", str(sim)],
+            ["pipeline", "--input", str(sim / "recording.csv"), "--L", "2", "--alpha", "0.2",
+             "--plots", "--out", str(pipe)],
+            ["reproduce", "fdr-check", "--reps", "2", "--seed", "3", "--out", str(study)],
+        ]
+        for command in commands:
+            result = runner.invoke(main, command)
+            assert result.exit_code == 0, result.output
+        for command, out in zip(commands, (sim, pipe, study)):
+            first = {p.name: p.read_bytes() for p in out.iterdir()}
+            head = command[:2] if command[0] == "reproduce" else command[:1]
+            result = runner.invoke(main, [*head, "--config", str(out / "run_config.json")])
+            assert result.exit_code == 0, result.output
+            assert {p.name: p.read_bytes() for p in out.iterdir()} == first
+
+    @pytest.mark.parametrize("command, flag", [
+        (["pipeline", "--L", "0"], "--L"),
+        (["pipeline", "--max-L", "0"], "--max-L"),
+        (["pipeline", "--L-sweep", "0:1"], "--L-sweep"),
+        (["discretise", "--L", "0"], "--L"),
+        (["discretise", "--max-L", "0"], "--max-L"),
+        (["simulate", "--theta", "0.9,0.9", "--n", "0"], "--n"),
+        (["simulate", "--theta", "0.9,0.9", "--bessel-order", "0"], "--bessel-order"),
+    ], ids=["pipeline-L", "pipeline-max-L", "pipeline-L-sweep", "discretise-L",
+            "discretise-max-L", "simulate-n", "simulate-bessel-order"])
+    def test_integer_below_its_floor_exit_code(self, runner, tmp_path, command, flag):
+        if command[0] == "pipeline":
+            sidecar_recording(tmp_path / "rec.csv")
+            command = [*command, "--input", str(tmp_path / "rec.csv")]
+        elif command[0] == "discretise":
+            command = [*command, "--input", str(self._staged_inputs(tmp_path)["discretise"])]
+        out = tmp_path / "out"
+        result = runner.invoke(main, [*command, "--out", str(out)])
+        assert result.exit_code == 2
+        assert f"{flag} " in result.output
+        assert sorted(p.name for p in out.iterdir()) == ["run_config.json"]
+
+    @pytest.mark.parametrize("rate", [-1000.0, 0.0, 2000.0, float("nan"), float("inf")])
+    def test_bad_sidecar_sample_rate_exit_code(self, runner, tmp_path, rate):
+        # the sidecar's rate must be its kernel's (1 kHz here), checked before
+        # the truth is rebuilt from it and before any stage runs
+        path = tmp_path / "rec.csv"
+        sidecar_recording(path)
+        meta = cio.load_json(cio.meta_path(path))
+        meta["sample_rate"] = rate
+        cio.dump_json(meta, cio.meta_path(path))
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["pipeline", "--input", str(path), "--out", str(out)])
+        assert result.exit_code == 2
+        assert "sidecar sample_rate" in result.output
+        assert sorted(p.name for p in out.iterdir()) == ["run_config.json"]
+
     def test_staged_commands_chain(self, runner, tmp_path):
         # idealise -> discretise -> infer as separate invocations agrees with
         # the one-shot pipeline on the same recording
