@@ -182,8 +182,8 @@ def simulate(resolved, out):
 
 
 def _plot_idealisation(path, rec, ideal, title: str) -> None:
-    times = rec.times()
-    plots.svg_lines(path, times, [rec.samples, ideal.fit.sample(times)], title=title)
+    plots.svg_lines(path, rec.times(), [rec.samples, ideal.fit.per_sample(rec.sample_rate)],
+                    title=title)
 
 
 @_command

@@ -3,7 +3,7 @@
 Sampling convention used throughout the package: a recording of n samples
 lives on the grid t_k = k / sample_rate for k = 1..n, so t_n = t_max.  A
 switch between sample k and sample k+1 is placed at the midpoint
-(k + 0.5) / sample_rate.
+(k + 0.5) / sample_rate.  No other module places samples or switches on it.
 """
 
 from __future__ import annotations
@@ -15,6 +15,15 @@ import numpy as np
 
 class EmptyTrace(ValueError):
     """An operation that needs at least one sample got none."""
+
+
+class TooShort(ValueError):
+    """A trace holds fewer samples than the statistic asked of it needs."""
+
+
+def sample_times(n: int, sample_rate: float) -> np.ndarray:
+    """The grid times t_k = k / sample_rate of samples k = 1..n."""
+    return np.arange(1, n + 1) / sample_rate
 
 
 @dataclass(frozen=True)
@@ -45,6 +54,13 @@ class StepFunction:
         if len(levels) > 1 and np.any(levels[1:] == levels[:-1]):
             raise ValueError("adjacent levels must differ")
 
+    @classmethod
+    def on_grid(cls, starts, levels, n: int, sample_rate: float) -> "StepFunction":
+        """n samples in which segment j holds levels[j] from sample starts[j]
+        (starts[0] = 0) on, each switch half a sample before its segment."""
+        inner = (np.asarray(starts[1:]) + 0.5) / sample_rate
+        return cls(np.concatenate([[0.0], inner, [n / sample_rate]]), levels)
+
     @property
     def n_changes(self) -> int:
         return len(self.levels) - 1
@@ -53,12 +69,12 @@ class StepFunction:
     def t_max(self) -> float:
         return float(self.breaks[-1])
 
-    def sample(self, times) -> np.ndarray:
-        """Evaluate at the given times; t_max maps to the last segment."""
-        times = np.asarray(times, dtype=float)
-        idx = np.searchsorted(self.breaks, times, side="right") - 1
-        idx = np.clip(idx, 0, len(self.levels) - 1)
-        return self.levels[idx]
+    def per_sample(self, sample_rate: float) -> np.ndarray:
+        """Level of each of the rint(t_max * sample_rate) samples: that of the
+        last segment that starts at or before the sample's time."""
+        times = sample_times(int(np.rint(self.t_max * sample_rate)), sample_rate)
+        starts = np.searchsorted(times, self.breaks[1:-1], side="left")
+        return np.repeat(self.levels, np.diff(starts, prepend=0, append=len(times)))
 
     def durations(self) -> np.ndarray:
         return np.diff(self.breaks)

@@ -12,11 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import chi2
 
-from .core import DiscreteTrace
-
-
-class TooShort(ValueError):
-    pass
+from .core import DiscreteTrace, TooShort
 
 
 class AllCellsSparse(ValueError):

@@ -208,7 +208,4 @@ def equal_spacing_cluster(levels, weights=None, L: int = 1) -> LevelLadder:
 def discretise_trace(ideal: Idealisation, ladder: LevelLadder, sample_rate: float) -> DiscreteTrace:
     """Per-sample open-channel counts: each sample's idealised level maps to
     the nearest rung (midpoints round down)."""
-    n = int(round(ideal.fit.t_max * sample_rate))
-    times = np.arange(1, n + 1) / sample_rate
-    values = ladder.nearest_rung(ideal.fit.sample(times))
-    return DiscreteTrace(values=values, ladder=ladder)
+    return DiscreteTrace(ladder.nearest_rung(ideal.fit.per_sample(sample_rate)), ladder)

@@ -8,8 +8,8 @@ median (zero) enters.
 
 Two measurement realities shape the test family:
 
-* the acquisition filter smears each switch over its support, so the first
-  ``support`` seconds after a switch are excluded from that segment's tests;
+* the acquisition filter smears each switch over its taps, so the
+  len(taps) - 1 samples after a switch are left out of that segment's tests;
 * filtering also correlates neighbouring noise samples, so tests run on a
   decimated sample grid whose stride is derived from the kernel taps.
 
@@ -153,9 +153,8 @@ class _Segmenter:
     def from_recording(cls, recording: Recording, alpha: float) -> "_Segmenter":
         """The segmenter of a recording: its filter transient excluded after
         each switch, decimated by its kernel's stride."""
-        d = int(math.ceil(recording.kernel.support * recording.sample_rate - 1e-9))
-        return cls(recording.samples, d=d, stride=recording.kernel.decimation_stride(),
-                   alpha=alpha)
+        return cls(recording.samples, d=len(recording.kernel.taps) - 1,
+                   stride=recording.kernel.decimation_stride(), alpha=alpha)
 
     # -- segment geometry ---------------------------------------------------
 
@@ -433,15 +432,14 @@ def muscle_fit(recording: Recording, alpha: float = 0.1) -> Idealisation:
             merged.append((a, b, lvl))
     feasible = all(prob.feasible(a, b) for a, b, _ in merged)
 
-    rate = recording.sample_rate
-    breaks = [0.0] + [(a + 0.5) / rate for a, _, _ in merged[1:]] + [len(y) / rate]
-    fit = StepFunction(np.array(breaks), np.array([lvl for _, _, lvl in merged]))
+    fit = StepFunction.on_grid([a for a, _, _ in merged], [lvl for _, _, lvl in merged],
+                               len(y), recording.sample_rate)
     return Idealisation(
         fit=fit,
         alpha=float(alpha),
         n_switches=len(merged) - 1,
         feasible=feasible,
-        sample_rate=rate,
+        sample_rate=recording.sample_rate,
     )
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import DiscreteTrace
+from .core import DiscreteTrace, TooShort
 from .model import (
     CooperativityReport,
     ParamVector,
@@ -23,10 +23,6 @@ from .model import (
     _row_params,
     transition_rows,
 )
-
-
-class TooShort(ValueError):
-    pass
 
 
 class DimMismatch(ValueError):

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import DiscreteTrace, LevelLadder, StepFunction
+from .core import DiscreteTrace, LevelLadder, StepFunction, sample_times
 from .idealise import Idealisation
 from .model import CooperativityReport, ParamVector
 from .synth import Kernel, NoiseSpec, Recording, RecordingTruth
@@ -122,6 +122,14 @@ def _first_sample_line(path: Path) -> int:
     raise ValueError(f"{path} holds no samples")
 
 
+def _sidecar_rate(meta) -> float:
+    """A sidecar's sample_rate, which must be a finite positive number."""
+    rate = meta["sample_rate"]
+    if not isinstance(rate, (int, float)) or not 0 < rate < np.inf:
+        raise ValueError(f"sidecar sample_rate {rate!r} is not finite and positive")
+    return float(rate)
+
+
 def read_recording(path, sample_rate: float | None = None) -> Recording:
     """Read a CSV of time and current columns (with or without a header;
     further columns are ignored); the sidecar .meta.json restores the kernel
@@ -138,10 +146,10 @@ def read_recording(path, sample_rate: float | None = None) -> Recording:
     if meta_file.exists():
         meta = load_json(meta_file)
         kernel = kernel_from_dict(meta["kernel"])
-        rate = float(meta["sample_rate"])
-        if not 0 < rate < np.inf or rate != kernel.sample_rate:
-            raise ValueError(f"sidecar sample_rate {rate!r} is not its kernel's finite, "
-                             f"positive sample_rate {kernel.sample_rate!r}")
+        rate = _sidecar_rate(meta)
+        if rate != kernel.sample_rate:
+            raise ValueError(f"sidecar sample_rate {rate!r} is not its kernel's "
+                             f"sample_rate {kernel.sample_rate!r}")
         if "truth" in meta:
             if len(samples) != meta["n_samples"]:
                 raise ValueError(f"{path} holds {len(samples)} samples but its sidecar's "
@@ -149,17 +157,11 @@ def read_recording(path, sample_rate: float | None = None) -> Recording:
             t = meta["truth"]
             ladder = LevelLadder(**t["ladder"])
             step = StepFunction(np.asarray(t["step_breaks"]), np.asarray(t["step_levels"]))
-            # a break at (k + 0.5) / rate starts a level at sample k; the
-            # last break, n / rate, ends the trace (rint(n - 0.5) rounds odd
-            # n down)
-            edges = np.rint(step.breaks * rate - 0.5)
-            edges[-1] = np.rint(step.breaks[-1] * rate)
-            rungs = np.rint((step.levels - ladder.offset) / ladder.spacing).astype(np.int64)
+            rungs = np.rint((step.per_sample(rate) - ladder.offset) / ladder.spacing)
             truth = RecordingTruth(
                 theta=theta_from_dict(t["theta"]),
                 step=step,
-                discrete=DiscreteTrace(values=np.repeat(rungs, np.diff(edges).astype(np.int64)),
-                                       ladder=ladder),
+                discrete=DiscreteTrace(values=rungs.astype(np.int64), ladder=ladder),
                 noise=noise_from_dict(t.get("noise")),
                 seed=t.get("seed"),
             )
@@ -195,13 +197,13 @@ def read_idealisation(path) -> Idealisation:
     meta = load_json(meta_path(path))
     fit = StepFunction(np.append(data[:, 0], data[-1, 1]), data[:, 2])
     return Idealisation(fit=fit, alpha=meta["alpha"], n_switches=meta["n_switches"],
-                        feasible=meta["feasible"], sample_rate=meta["sample_rate"])
+                        feasible=meta["feasible"], sample_rate=_sidecar_rate(meta))
 
 
 def write_discrete(trace: DiscreteTrace, sample_rate: float, path) -> None:
     path = Path(path)
-    times = np.arange(1, len(trace) + 1) / sample_rate
-    path.write_text("time,open_channels\n" + _rows("%.9f,%d\n", times, trace.values))
+    path.write_text("time,open_channels\n"
+                    + _rows("%.9f,%d\n", sample_times(len(trace), sample_rate), trace.values))
     dump_json({
         "sample_rate": float(sample_rate),
         "ladder": {"L": trace.ladder.L, "offset": trace.ladder.offset,
@@ -216,7 +218,7 @@ def read_discrete(path) -> tuple[DiscreteTrace, float]:
     meta = load_json(meta_path(path))
     ladder = LevelLadder(L=meta["ladder"]["L"], offset=meta["ladder"]["offset"],
                          spacing=meta["ladder"]["spacing"], sse=meta["ladder"].get("sse", 0.0))
-    return DiscreteTrace(values=values, ladder=ladder), float(meta["sample_rate"])
+    return DiscreteTrace(values=values, ladder=ladder), _sidecar_rate(meta)
 
 
 def write_histogram(bin_left, bin_right, count, path) -> None:

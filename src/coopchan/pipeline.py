@@ -29,8 +29,8 @@ class PipelineResult:
 def _truth_metrics(recording: Recording, ideal: Idealisation, trace: DiscreteTrace,
                    fit: MdeResult) -> dict:
     truth = recording.truth
-    times = recording.times()
-    level_err = ideal.fit.sample(times) - truth.step.sample(times)
+    rate = recording.sample_rate
+    level_err = ideal.fit.per_sample(rate) - truth.step.per_sample(rate)
     true_vals = truth.discrete.values
     est_vals = trace.values
     # the fitted ladder may be anchored above the true baseline when low

@@ -14,7 +14,7 @@ from functools import lru_cache
 import numpy as np
 import scipy.signal
 
-from .core import DiscreteTrace, EmptyTrace, LevelLadder, StepFunction
+from .core import DiscreteTrace, EmptyTrace, LevelLadder, StepFunction, sample_times
 from .model import ParamVector, simulate_vnd, _seed_sequence
 
 DEFAULT_SAMPLE_RATE = 10_000.0
@@ -56,11 +56,6 @@ class Kernel:
             raise InvalidParam("taps must be nonnegative")
         if abs(taps.sum() - 1.0) > 1e-12:
             raise InvalidParam(f"taps sum to {taps.sum()!r}, not 1")
-
-    @property
-    def support(self) -> float:
-        """Kernel support in seconds."""
-        return (len(self.taps) - 1) / self.sample_rate
 
     def decimation_stride(self) -> int:
         """Smallest lag at which the tap autocorrelation drops to 0.1;
@@ -130,12 +125,15 @@ class Recording:
             raise ValueError("recording samples must be finite")
         if not self.sample_rate > 0:
             raise ValueError("sample_rate must be positive")
+        if self.kernel.sample_rate != self.sample_rate:
+            raise ValueError(f"kernel sample_rate {self.kernel.sample_rate!r} is not the "
+                             f"recording's {self.sample_rate!r}")
 
     def __len__(self) -> int:
         return len(self.samples)
 
     def times(self) -> np.ndarray:
-        return np.arange(1, len(self.samples) + 1) / self.sample_rate
+        return sample_times(len(self.samples), self.sample_rate)
 
 
 @lru_cache(maxsize=32)
@@ -212,21 +210,18 @@ def step_from_trace(trace, offset: float, spacing: float, sample_rate: float) ->
     values = np.asarray(trace.values if isinstance(trace, DiscreteTrace) else trace)
     if values.ndim != 1 or len(values) == 0:
         raise EmptyTrace("trace must hold at least one sample")
-    n = len(values)
-    changes = np.nonzero(values[1:] != values[:-1])[0]
-    breaks = np.concatenate([[0.0], (changes + 1.5) / sample_rate, [n / sample_rate]])
-    levels = offset + spacing * values[np.concatenate([[0], changes + 1])].astype(float)
-    return StepFunction(breaks, levels)
+    starts = np.concatenate([[0], np.nonzero(values[1:] != values[:-1])[0] + 1])
+    levels = offset + spacing * values[starts].astype(float)
+    return StepFunction.on_grid(starts, levels, len(values), sample_rate)
 
 
 def convolve_sample(f: StepFunction, kernel: Kernel, sample_rate: float, n: int) -> np.ndarray:
     """(rho * f) at t_k = k / sample_rate for k = 1..n, with the first level
     extended leftward so there is no start-up transient."""
-    if n < 1:
-        raise DomainExceeded("need n >= 1")
-    if n / sample_rate > f.t_max * (1 + 1e-12):
-        raise DomainExceeded(f"{n} samples at {sample_rate} Hz exceed t_max = {f.t_max}")
-    s = f.sample(np.arange(1, n + 1) / sample_rate)
+    s = f.per_sample(sample_rate)
+    if not 1 <= n <= len(s):
+        raise DomainExceeded(f"need 1 <= n <= {len(s)}, the samples up to t_max = {f.t_max}")
+    s = s[:n]
     m = len(kernel.taps)
     if m == 1:
         return s * kernel.taps[0]

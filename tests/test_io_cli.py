@@ -770,6 +770,21 @@ class TestCli:
         assert "sidecar sample_rate" in result.output
         assert sorted(p.name for p in out.iterdir()) == ["run_config.json"]
 
+    @pytest.mark.parametrize("rate", [-10000.0, 0.0, float("nan"), float("inf"), None, "fast"])
+    @pytest.mark.parametrize("command", ["discretise", "dwell", "infer"])
+    def test_bad_staged_sidecar_sample_rate_exit_code(self, runner, tmp_path, command, rate):
+        # an idealisation or discrete-trace sidecar's rate is checked on
+        # reading, also by infer, which does not use it
+        src = self._staged_inputs(tmp_path)[command]
+        meta = cio.load_json(cio.meta_path(src))
+        meta["sample_rate"] = rate
+        cio.dump_json(meta, cio.meta_path(src))
+        out = tmp_path / "out"
+        result = runner.invoke(main, [command, "--input", str(src), "--out", str(out)])
+        assert result.exit_code == 2
+        assert "sidecar sample_rate" in result.output
+        assert sorted(p.name for p in out.iterdir()) == ["run_config.json"]
+
     def test_staged_commands_chain(self, runner, tmp_path):
         # idealise -> discretise -> infer as separate invocations agrees with
         # the one-shot pipeline on the same recording

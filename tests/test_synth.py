@@ -1,8 +1,15 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.signal
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from coopchan.core import StepFunction
+from coopchan import io as cio
+from coopchan.core import StepFunction, sample_times
+from coopchan.idealise import Idealisation
 from coopchan.io import kernel_to_dict
 from coopchan.model import ParamVector
 from coopchan.synth import (
@@ -10,6 +17,7 @@ from coopchan.synth import (
     InvalidParam,
     Kernel,
     NoiseSpec,
+    Recording,
     _bessel_taps,
     convolve_sample,
     make_kernel,
@@ -17,6 +25,28 @@ from coopchan.synth import (
     step_from_trace,
     synthesize_recording,
 )
+
+GRID_RATES = (1e-3, 1.0, 3.0, 7.0, 1e4, 2.5e4, 44_100.0)
+
+
+def reference_sample(step, times):
+    """The level at each time by one searchsorted over the breaks: the last
+    segment starting at or before it, t_max and beyond mapping to the last
+    segment.  The bit-for-bit reference for StepFunction.per_sample."""
+    idx = np.searchsorted(step.breaks, np.asarray(times, dtype=float), side="right") - 1
+    return step.levels[np.clip(idx, 0, len(step.levels) - 1)]
+
+
+@st.composite
+def grid_segments(draw):
+    """(starts, levels, n): segment starts on the sample grid of n samples,
+    starts[0] = 0, with adjacent levels that differ."""
+    n = draw(st.integers(min_value=1, max_value=300))
+    inner = draw(st.sets(st.integers(min_value=1, max_value=max(n - 1, 1)), max_size=20))
+    starts = np.array([0, *sorted(inner - {n})], dtype=np.int64)
+    steps = draw(st.lists(st.integers(min_value=1, max_value=3), min_size=len(starts),
+                          max_size=len(starts)))
+    return starts, np.cumsum(steps) % 4 * 0.5 - 0.25, n
 
 
 def box_convolution_oracle(n_factors=3, subdiv=2000):
@@ -53,15 +83,13 @@ class TestStepFromTrace:
     def test_round_trip_sampling(self):
         values = np.array([0, 0, 2, 1, 1, 1, 0])
         step = step_from_trace(values, 0.0, 1.0, 100.0)
-        back = step.sample(np.arange(1, len(values) + 1) / 100.0)
-        np.testing.assert_array_equal(back, values.astype(float))
+        np.testing.assert_array_equal(step.per_sample(100.0), values.astype(float))
 
 
 class TestKernels:
     def test_identity(self):
         k = make_kernel("identity", 1.0)
         np.testing.assert_array_equal(k.taps, [1.0])
-        assert k.support == 0.0
 
     def test_bspline2_matches_box_oracle(self):
         k = make_kernel("bspline2", 1.0)
@@ -74,7 +102,7 @@ class TestKernels:
         k = make_kernel("bessel", 10_000.0, order=4, cutoff=1_000.0)
         assert abs(k.taps.sum() - 1.0) < 1e-12
         assert (k.taps >= 0).all()
-        assert k.support > 0
+        assert len(k.taps) > 1
 
     def test_bessel_taps_are_built_once_and_shared_read_only(self, monkeypatch):
         calls = []
@@ -121,7 +149,7 @@ class TestConvolveSample:
     def test_identity_exact(self):
         step = StepFunction([0.0, 2.5, 5.0], [1.0, 3.0])
         y = convolve_sample(step, make_kernel("identity", 1.0), 1.0, 5)
-        np.testing.assert_array_equal(y, step.sample(np.arange(1, 6)))
+        np.testing.assert_array_equal(y, reference_sample(step, np.arange(1, 6)))
 
     def test_dc_gain(self):
         step = StepFunction([0.0, 10.0], [4.2])
@@ -136,7 +164,7 @@ class TestConvolveSample:
         step = step_from_trace(values, 0.0, 1.0, 1.0)
         k = make_kernel("bspline2", 1.0)
         y = convolve_sample(step, k, 1.0, 60)
-        s = step.sample(np.arange(1, 61))
+        s = reference_sample(step, np.arange(1, 61))
         naive = np.empty(60)
         for i in range(60):
             acc = 0.0
@@ -157,6 +185,59 @@ class TestConvolveSample:
         step = StepFunction([0.0, 1.0], [0.0])
         with pytest.raises(DomainExceeded):
             convolve_sample(step, make_kernel("identity", 1.0), 1.0, 2)
+
+    @pytest.mark.parametrize("rate", GRID_RATES)
+    def test_domain_is_the_grid_sample_count(self, rate):
+        values = np.random.default_rng(5).integers(0, 3, 97)
+        step = step_from_trace(values, 0.0, 1.0, rate)
+        kernel = make_kernel("bspline2", rate)
+        assert len(convolve_sample(step, kernel, rate, 97)) == 97
+        for n in (0, 98):
+            with pytest.raises(DomainExceeded):
+                convolve_sample(step, kernel, rate, n)
+
+
+class TestSampleGrid:
+    @given(segments=grid_segments(), rate=st.sampled_from(GRID_RATES))
+    @settings(max_examples=200, deadline=None)
+    def test_on_grid_per_sample_round_trip(self, segments, rate):
+        starts, levels, n = segments
+        step = StepFunction.on_grid(starts, levels, n, rate)
+        expected = np.repeat(levels, np.diff(starts, append=n))
+        np.testing.assert_array_equal(step.per_sample(rate), expected)
+        np.testing.assert_array_equal(reference_sample(step, sample_times(n, rate)), expected)
+
+    @given(segments=grid_segments(), rate=st.sampled_from(GRID_RATES), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_per_sample_matches_searchsorted_reference(self, segments, rate, data):
+        # breaks on the half-sample grid, read back from the 9-decimal
+        # idealisation CSV, and shifted off the grid by 0.01-0.99 of a sample
+        starts, levels, n = segments
+        on_grid = StepFunction.on_grid(starts, levels, n, rate)
+        shifts = data.draw(st.lists(st.floats(min_value=0.01, max_value=0.99),
+                                    min_size=len(starts) - 1, max_size=len(starts) - 1))
+        off_grid = StepFunction(np.concatenate([[0.0], (starts[1:] + shifts) / rate, [n / rate]]),
+                                levels)
+        steps = [on_grid, off_grid]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "idealisation.csv"
+            cio.write_idealisation(Idealisation(fit=on_grid, alpha=0.1, n_switches=len(starts) - 1,
+                                                feasible=True, sample_rate=rate), path)
+            steps.append(cio.read_idealisation(path).fit)
+        for step in steps:
+            times = sample_times(int(np.rint(step.t_max * rate)), rate)
+            np.testing.assert_array_equal(step.per_sample(rate), reference_sample(step, times))
+
+    @pytest.mark.parametrize("rate", GRID_RATES)
+    def test_a_break_on_a_sample_time_starts_its_level_there(self, rate):
+        times = sample_times(5, rate)
+        step = StepFunction([0.0, times[1], times[4]], [1.0, 3.0])
+        np.testing.assert_array_equal(step.per_sample(rate), [1.0, 3.0, 3.0, 3.0, 3.0])
+        np.testing.assert_array_equal(reference_sample(step, times), [1.0, 3.0, 3.0, 3.0, 3.0])
+
+    def test_recording_kernel_must_share_its_rate(self):
+        with pytest.raises(ValueError, match="kernel sample_rate"):
+            Recording(np.zeros(10), 1000.0, make_kernel("bspline2", 2000.0))
 
 
 class TestNoise:
