@@ -3,7 +3,7 @@ low-pass-filtered sum-conductance recordings."""
 
 from .core import DiscreteTrace, LevelLadder, StepFunction
 from .diagnostics import DwellFit, MarkovTestResult, dwell_times, markov_property_test
-from .discretise import discretise_trace, equal_spacing_cluster, select_L
+from .discretise import discretise_trace, equal_spacing_cluster
 from .idealise import Idealisation, empirical_fdr, muscle_fit, sign_bounds
 from .infer import (
     MdeResult,

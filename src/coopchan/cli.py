@@ -208,13 +208,12 @@ def idealise(resolved, out):
               help="idealisation.csv from the idealise command.")
 @click.option("--L", "channels", type=int, default=None, help="Skip channel-count selection.")
 @click.option("--max-L", "max_l", type=int, default=20, help="Cap for selected L.")
-@click.option("--gap-factor", type=float, default=3.0, help="Gap splitting factor.")
 def discretise(resolved, out):
     """Map idealised levels to open-channel counts."""
     L = _int_at_least(resolved, "channels", 1)
     max_L = _int_at_least(resolved, "max_l", 1)
     ideal = _read_input(cio.read_idealisation, resolved["input_path"])
-    trace = discretise_idealisation(ideal, L, max_L=max_L, gap_factor=resolved["gap_factor"])
+    trace = discretise_idealisation(ideal, L, max_L=max_L)
     cio.write_discrete(trace, ideal.sample_rate, out / "discrete.csv")
     ladder = trace.ladder
     click.echo(f"L: {ladder.L} offset: {ladder.offset:.6g} spacing: {ladder.spacing:.6g}")
@@ -254,7 +253,6 @@ def _pipeline_once(rec, resolved, out: Path, L_override, suffix=""):
         alpha=alpha,
         L=L_override,
         max_L=resolved["max_l"],
-        gap_factor=resolved["gap_factor"],
         tolerance=resolved["tolerance"],
         stage_hook=persist_stage,
     )
@@ -279,7 +277,6 @@ def _pipeline_once(rec, resolved, out: Path, L_override, suffix=""):
 @click.option("--L-sweep", "l_sweep", default=None, metavar="A:B",
               help="Run once per L in the range, e.g. 2:6.")
 @click.option("--max-L", "max_l", type=int, default=20)
-@click.option("--gap-factor", type=float, default=3.0)
 @click.option("--tolerance", type=float, default=1e-3)
 @click.option("--rate", type=float, default=None)
 @click.option("--plots", "want_plots", is_flag=True)

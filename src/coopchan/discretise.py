@@ -1,14 +1,12 @@
 """Grouping of idealised conductance levels into open-channel counts.
 
-The channel count L is chosen by splitting the sorted unique levels at large
-gaps; the level ladder (offset + spacing per open channel) is then fitted by
-duration-weighted least squares under the equal-spacing constraint, and each
-sample maps to its nearest rung.
+The level ladder (offset + spacing per open channel, L + 1 rungs) is fitted
+by duration-weighted least squares under the equal-spacing constraint, and
+each sample maps to its nearest rung.  ``pipeline.fit_ladder`` chooses L by
+comparing these fits.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -31,47 +29,33 @@ def _weighted_median(values: np.ndarray, weights: np.ndarray) -> float:
     return float(values[order][min(k, len(values) - 1)])
 
 
-def level_groups(levels, gap_factor: float = 3.0, max_groups: int = 21,
-                 weights=None) -> list[np.ndarray]:
+def level_groups(levels) -> list[np.ndarray]:
     """Split sorted unique levels at large gaps.
 
-    A gap splits when it exceeds gap_factor times the weight-median gap and
-    the span-scale floor span / (2 * max_groups).  Gap weights are the
-    smaller of the two adjacent levels' total weights, so stray levels with
-    negligible dwell cannot drag the splitting scale down; the floor keeps
-    the tail of the within-cluster gap distribution from fragmenting dense
-    level sets.  At most max_groups - 1 splits are kept (largest gaps win).
-    When no gap qualifies but all gaps are of comparable size (within
-    gap_factor of each other), the levels already form a ladder and every
-    unique level is its own group.  A gap_factor that is not finite and
-    positive raises ValueError: at or below zero it would turn both rules
-    off.
+    A gap splits when it exceeds 3 times the weight-median gap and the
+    span-scale floor span / 42.  Gap weights are the smaller of the two
+    adjacent levels' counts, so stray levels cannot drag the splitting scale
+    down; the floor keeps the tail of the within-cluster gap distribution
+    from fragmenting dense level sets.  At most 20 splits are kept (largest
+    gaps win).  When no gap qualifies but all gaps are within a factor 3 of
+    each other, the levels already form a ladder and every unique level is
+    its own group.
     """
-    if not 0.0 < gap_factor < math.inf:
-        raise ValueError(f"gap_factor = {gap_factor!r} must be finite and positive")
     levels = np.asarray(levels, dtype=float)
     if levels.size == 0:
         raise Empty("need at least one level")
-    if weights is None:
-        weights = np.ones_like(levels)
-    weights = np.asarray(weights, dtype=float)
-    uniq, inverse = np.unique(levels, return_inverse=True)
-    agg = np.zeros(len(uniq))
-    np.add.at(agg, inverse, weights)
+    uniq, agg = np.unique(levels, return_counts=True)
     if len(uniq) == 1:
         return [uniq]
     gaps = np.diff(uniq)
     gap_weights = np.minimum(agg[:-1], agg[1:])
-    threshold = max(
-        gap_factor * _weighted_median(gaps, gap_weights),
-        (uniq[-1] - uniq[0]) / (2.0 * max_groups),
-    )
+    threshold = max(3.0 * _weighted_median(gaps, gap_weights), (uniq[-1] - uniq[0]) / 42.0)
     split_after = np.nonzero(gaps > threshold)[0]
-    if len(split_after) == 0 and gaps.max() <= gap_factor * gaps.min():
+    if len(split_after) == 0 and gaps.max() <= 3.0 * gaps.min():
         return [uniq[i:i + 1] for i in range(len(uniq))]
-    if len(split_after) > max_groups - 1:
+    if len(split_after) > 20:
         order = np.argsort(-gaps[split_after], kind="stable")
-        split_after = np.sort(split_after[order[:max_groups - 1]])
+        split_after = np.sort(split_after[order[:20]])
     groups = np.split(uniq, split_after + 1)
     group_weights = [agg[np.searchsorted(uniq, g)].sum() for g in groups]
     return _merge_stray_groups(groups, group_weights)
@@ -105,13 +89,6 @@ def _merge_stray_groups(groups, group_weights):
         groups[lo:hi + 1] = [np.concatenate([groups[lo], groups[hi]])]
         group_weights[lo:hi + 1] = [group_weights[lo] + group_weights[hi]]
     return groups
-
-
-def select_L(levels, weights=None, max_L: int = 20, gap_factor: float = 3.0) -> int:
-    """Number of open-channel states minus one, from the level grouping,
-    clamped to [1, max_L]."""
-    groups = level_groups(levels, gap_factor, max_groups=max_L + 1, weights=weights)
-    return int(np.clip(len(groups) - 1, 1, max_L))
 
 
 def _weighted_ls(levels, weights, idx):

@@ -94,7 +94,7 @@ def extremum_table(x: np.ndarray, pick) -> list[np.ndarray]:
 def range_extrema(max_table, min_table, j0: int, j1: int):
     """(max, min) over positions j0..j1 of the arrays behind two sparse
     tables of one length, from two overlapping entries of each."""
-    k = (j1 - j0 + 1).bit_length() - 1
+    k = int(j1 - j0 + 1).bit_length() - 1
     i1 = j1 + 1 - (1 << k)
     maxima, minima = max_table[k], min_table[k]
     return max(maxima[j0], maxima[i1]), min(minima[j0], minima[i1])

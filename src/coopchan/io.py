@@ -136,7 +136,8 @@ def read_recording(path, sample_rate: float | None = None) -> Recording:
     and truth when present, otherwise the sampling rate must be supplied or
     is inferred from the time column, and an identity kernel is assumed.
     A sidecar sample_rate that is not its kernel's finite positive rate, or
-    truth whose theta is invalid or whose n_samples is not the CSV's, raises."""
+    truth whose theta is invalid or whose n_samples or step_breaks do not
+    span the CSV's samples, raises."""
     path = Path(path)
     data = np.loadtxt(path, delimiter=",", usecols=(0, 1), ndmin=2,
                       skiprows=_first_sample_line(path))
@@ -157,7 +158,11 @@ def read_recording(path, sample_rate: float | None = None) -> Recording:
             t = meta["truth"]
             ladder = LevelLadder(**t["ladder"])
             step = StepFunction(np.asarray(t["step_breaks"]), np.asarray(t["step_levels"]))
-            rungs = np.rint((step.per_sample(rate) - ladder.offset) / ladder.spacing)
+            per_sample = step.per_sample(rate)
+            if len(per_sample) != len(samples):
+                raise ValueError(f"{path} holds {len(samples)} samples but its sidecar's "
+                                 f"step_breaks span {len(per_sample)}")
+            rungs = np.rint((per_sample - ladder.offset) / ladder.spacing)
             truth = RecordingTruth(
                 theta=theta_from_dict(t["theta"]),
                 step=step,

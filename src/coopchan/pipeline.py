@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import DiscreteTrace, LevelLadder
-from .discretise import discretise_trace, equal_spacing_cluster, select_L
+from .discretise import discretise_trace, equal_spacing_cluster
 from .idealise import Idealisation, muscle_fit
 from .infer import MdeResult, cooperativity_report, empirical_transition_matrix, mde_fit
 from .model import CooperativityReport, TransitionMatrix
@@ -50,26 +50,37 @@ def _truth_metrics(recording: Recording, ideal: Idealisation, trace: DiscreteTra
     return metrics
 
 
-def fit_ladder(levels, weights, L: int | None = None, max_L: int = 20,
-               gap_factor: float = 3.0) -> LevelLadder:
+def fit_ladder(levels, weights, L: int | None = None, max_L: int = 20) -> LevelLadder:
     """The ladder of L + 1 equally spaced rungs that the weighted levels
-    group into, L selected from the level gaps unless given.  A single
-    distinct level cannot anchor a spacing; it becomes rung 0 of a ladder
-    spaced at the data scale."""
-    if L is None:
-        L = select_L(levels, weights, max_L=max_L, gap_factor=gap_factor)
-    if len(np.unique(levels)) >= 2:
+    group into.  Unless L is given, the ladders of L = 1 .. max_L compete on
+    their SSE in units of their squared spacing, the shorter winning ties.
+    Once the best so far holds the levels within a tenth of its spacing
+    (RMS), the first longer ladder that leaves an end rung empty ends the
+    search: more rungs could only pad the ends or halve the spacing.  A
+    single distinct level cannot anchor a spacing; it becomes rung 0 of a
+    ladder spaced at the data scale."""
+    if len(np.unique(levels)) == 1:
+        scale = max(abs(float(levels[0])), 1.0)
+        return LevelLadder(L=1 if L is None else int(L), offset=float(levels[0]), spacing=scale)
+    if L is not None:
         return equal_spacing_cluster(levels, weights, L=int(L))
-    scale = max(abs(float(levels[0])), 1.0)
-    return LevelLadder(L=int(L), offset=float(levels[0]), spacing=scale)
+    best = equal_spacing_cluster(levels, weights, L=1)
+    held = 0.01 * float(np.sum(weights))
+    for n in range(2, max_L + 1):
+        ladder = equal_spacing_cluster(levels, weights, L=n)
+        rungs = ladder.nearest_rung(levels)
+        if best.sse < held * best.spacing ** 2 and (rungs.min() > 0 or rungs.max() < n):
+            break
+        if ladder.sse / ladder.spacing ** 2 < best.sse / best.spacing ** 2:
+            best = ladder
+    return best
 
 
-def discretise_idealisation(ideal: Idealisation, L: int | None = None, max_L: int = 20,
-                            gap_factor: float = 3.0) -> DiscreteTrace:
+def discretise_idealisation(ideal: Idealisation, L: int | None = None,
+                            max_L: int = 20) -> DiscreteTrace:
     """Open-channel counts of an idealisation: its duration-weighted levels
     fit the ladder, and each sample maps to its nearest rung."""
-    ladder = fit_ladder(ideal.fit.levels, ideal.fit.durations(), L, max_L=max_L,
-                        gap_factor=gap_factor)
+    ladder = fit_ladder(ideal.fit.levels, ideal.fit.durations(), L, max_L=max_L)
     return discretise_trace(ideal, ladder, ideal.sample_rate)
 
 
@@ -78,7 +89,6 @@ def run_pipeline(
     alpha: float = 0.1,
     L: int | None = None,
     max_L: int = 20,
-    gap_factor: float = 3.0,
     tolerance: float = 1e-3,
     stage_hook=None,
 ) -> PipelineResult:
@@ -91,7 +101,7 @@ def run_pipeline(
     hook = stage_hook or (lambda name, value: None)
     ideal = muscle_fit(recording, alpha=alpha)
     hook("idealise", ideal)
-    trace = discretise_idealisation(ideal, L, max_L=max_L, gap_factor=gap_factor)
+    trace = discretise_idealisation(ideal, L, max_L=max_L)
     hook("discretise", trace)
     selected_L = trace.ladder.L
     q_hat = empirical_transition_matrix(trace)

@@ -8,14 +8,13 @@ from coopchan.discretise import (
     discretise_trace,
     equal_spacing_cluster,
     level_groups,
-    select_L,
 )
 from coopchan.idealise import Idealisation, muscle_fit
 from coopchan.infer import empirical_transition_matrix, mde_fit
 from coopchan.model import ParamVector, classify_cooperativity, simulate_vnd
 from coopchan.pipeline import discretise_idealisation, fit_ladder
 from coopchan.studies import _channel_count_rep, l20_scenario, rep_seed
-from coopchan.synth import synthesize_recording
+from coopchan.synth import NoiseSpec, make_kernel, synthesize_recording
 
 
 def grid_search_oracle(levels, weights, L, n_grid=160):
@@ -45,40 +44,72 @@ def ideal_from_steps(breaks, levels, rate=1.0, alpha=0.1):
                         feasible=True, sample_rate=rate)
 
 
+def chosen_L(levels, weights=None, max_L=20):
+    """The channel count fit_ladder chooses, uniform weights by default."""
+    weights = np.ones(len(levels)) if weights is None else weights
+    return fit_ladder(levels, weights, max_L=max_L).L
+
+
+def jittered_ladder(S, seed):
+    """S + 1 integer levels jittered by 0.02 N(0, 1), with weights drawn
+    from uniform(0.2, 5)."""
+    rng = np.random.default_rng(seed)
+    levels = np.arange(S + 1) + 0.02 * rng.standard_normal(S + 1)
+    return levels, rng.uniform(0.2, 5.0, S + 1)
+
+
 class TestSelectL:
+    """Channel-count selection by fit_ladder when L is not given."""
+
     def test_well_separated_ladder(self):
-        assert select_L([0.0, 1.0, 2.0, 3.0]) == 3
+        assert chosen_L([0.0, 1.0, 2.0, 3.0]) == 3
 
     def test_single_level_clamps_to_one(self):
-        assert select_L([1.7]) == 1
+        assert chosen_L([1.7]) == 1
 
     def test_two_clusters(self):
-        # gaps (0.02, 0.98, 0.03): median 0.03, threshold 0.09 -> one split
-        assert select_L([0.0, 0.02, 1.0, 1.03], gap_factor=3.0) == 1
+        assert chosen_L([0.0, 0.02, 1.0, 1.03]) == 1
 
     def test_jittered_clusters(self):
         rng = np.random.default_rng(0)
         levels = np.concatenate([r + 0.01 * rng.standard_normal(40) for r in range(4)])
-        assert select_L(levels) == 3
+        assert chosen_L(levels) == 3
 
     def test_max_L_clamp(self):
-        assert select_L(np.arange(30.0), max_L=20) == 20
+        # thirty unit-spaced levels need 29 rungs; the search stops at max_L
+        assert chosen_L(np.arange(30.0), max_L=20) <= 20
 
     def test_empty(self):
         with pytest.raises(Empty):
-            select_L([])
-
-    @pytest.mark.parametrize("factor", [-2.0, 0.0, float("nan"), float("inf")])
-    def test_gap_factor_must_be_finite_and_positive(self, factor):
-        # at or below zero both the gap rule and the ladder rule would be off
-        with pytest.raises(ValueError, match="gap_factor"):
-            level_groups([0.0, 1.0, 2.0], gap_factor=factor)
-        with pytest.raises(ValueError, match="gap_factor"):
-            select_L([0.0, 1.0, 2.0], gap_factor=factor)
+            chosen_L([])
 
     def test_groups_partition(self):
-        groups = level_groups([0.0, 0.02, 1.0, 1.03], gap_factor=3.0)
+        groups = level_groups([0.0, 0.02, 1.0, 1.03])
         assert [list(g) for g in groups] == [[0.0, 0.02], [1.0, 1.03]]
+
+    def test_missing_inner_rung(self):
+        # an unvisited inner rung leaves the ladder whole; a gap count gives 17
+        # and a search that stops at the first empty end rung gives 9
+        levels = np.array([v for v in range(19) if v != 9], dtype=float)
+        assert chosen_L(levels) == 18
+
+    @pytest.mark.parametrize("S, seed", [(12, 6), (2, 0), (5, 7), (9, 14), (16, 21), (20, 28)])
+    def test_jittered_full_ladder(self, S, seed):
+        # the search stops at an empty end rung only once the best ladder
+        # holds the levels; without that condition S = 12, seed 6 gives 8
+        assert chosen_L(*jittered_ladder(S, seed)) == S
+
+    @pytest.mark.parametrize("s, k", [(3, 1), (8, 1), (10, 1), (105, 1), (110, 1), (112, 1),
+                                      (117, 1), (118, 0)])
+    def test_stray_levels_between_rungs(self, s, k):
+        # long L = 3 recordings on which a few short idealised segments sit
+        # between rungs; counting level groups selected 5, 6 or 7 channels
+        theta = ParamVector.constant(3, 0.998, 0.998)
+        rec = synthesize_recording(theta, 300_000, 10_000.0,
+                                   kernel=make_kernel("bessel", 10_000.0, cutoff=2_500.0),
+                                   noise=NoiseSpec("gaussian", sigma=0.1), seed=rep_seed(s, k))
+        ideal = muscle_fit(rec, alpha=0.1)
+        assert chosen_L(ideal.fit.levels, ideal.fit.durations()) == 3
 
 
 class TestEqualSpacingCluster:
@@ -170,9 +201,8 @@ class TestDiscretiseTrace:
         ideal = Idealisation(fit=truth, alpha=0.1, n_switches=truth.n_changes,
                              feasible=True, sample_rate=rec.sample_rate)
         levels, durations = ideal.fit.levels, ideal.fit.durations()
-        L = select_L(levels, max_L=5)
-        assert L == rec.truth.discrete.values.max() - rec.truth.discrete.values.min()
-        ladder = equal_spacing_cluster(levels, durations, L=L)
+        ladder = fit_ladder(levels, durations, max_L=5)
+        assert ladder.L == rec.truth.discrete.values.max() - rec.truth.discrete.values.min()
         trace = discretise_trace(ideal, ladder, rec.sample_rate)
         shift = rec.truth.discrete.values.min()
         np.testing.assert_array_equal(trace.values + shift, rec.truth.discrete.values)
@@ -185,36 +215,47 @@ class TestDiscretiseTrace:
                                    kernel="identity", noise=None, seed=4)
         ideal = muscle_fit(rec, alpha=0.1)
         levels, durations = ideal.fit.levels, ideal.fit.durations()
-        L = select_L(levels, max_L=5)
-        ladder = equal_spacing_cluster(levels, durations, L=L)
+        ladder = fit_ladder(levels, durations, max_L=5)
         trace = discretise_trace(ideal, ladder, rec.sample_rate)
         truth = rec.truth.discrete.values
-        assert L == truth.max() - truth.min()
+        assert ladder.L == truth.max() - truth.min()
         mismatch = np.mean(trace.values + truth.min() != truth)
         assert mismatch < 0.02
 
 
-def reference_ladder(levels, weights, L=None, max_L=20, gap_factor=3.0):
-    """The ladder fit as discretise_idealisation wrote it inline, before
-    fit_ladder owned it."""
-    if L is None:
-        L = select_L(levels, weights, max_L=max_L, gap_factor=gap_factor)
-    if len(np.unique(levels)) >= 2:
+def reference_ladder(levels, weights, L=None, max_L=20):
+    """The ladder fit with the channel-count rule written out: every ladder
+    up to max_L is fitted, then scanned for the least SSE in units of its
+    squared spacing, stopping at the first empty end rung once the best
+    ladder holds the levels within a tenth of its spacing (RMS)."""
+    if len(np.unique(levels)) < 2:
+        scale = max(abs(float(levels[0])), 1.0)
+        return LevelLadder(L=1 if L is None else int(L), offset=float(levels[0]),
+                           spacing=scale)
+    if L is not None:
         return equal_spacing_cluster(levels, weights, L=int(L))
-    scale = max(abs(float(levels[0])), 1.0)
-    return LevelLadder(L=int(L), offset=float(levels[0]), spacing=scale)
+    ladders = [equal_spacing_cluster(levels, weights, L=n) for n in range(1, max_L + 1)]
+    best = ladders[0]
+    for ladder in ladders[1:]:
+        rungs = set(ladder.nearest_rung(np.asarray(levels, float)).tolist())
+        holds = best.sse / best.spacing ** 2 < 0.01 * np.sum(weights)
+        if holds and not {0, ladder.L} <= rungs:
+            break
+        if ladder.sse / ladder.spacing ** 2 < best.sse / best.spacing ** 2:
+            best = ladder
+    return best
 
 
 def reference_channel_count_rep(args):
     """One repetition of the channel-count study with its ladder chosen by
-    the inline select_L -> equal_spacing_cluster -> nearest_rung sequence
-    the study used before it went through fit_ladder."""
+    the inline reference_ladder -> nearest_rung sequence, in place of the
+    study's fit_ladder."""
     scenario, rep, base_seed, n = args
     trace = simulate_vnd(l20_scenario(scenario), n, seed=rep_seed(base_seed, rep))
     s = trace.sums.astype(float)
     levels, counts = np.unique(s, return_counts=True)
-    L_hat = select_L(levels, counts.astype(float), max_L=20)
-    ladder = equal_spacing_cluster(levels, counts.astype(float), L=L_hat)
+    ladder = reference_ladder(levels, counts.astype(float))
+    L_hat = ladder.L
     fit = mde_fit(empirical_transition_matrix(ladder.nearest_rung(s), L=L_hat), L_hat)
     report = classify_cooperativity(fit.theta_hat)
     ratios = np.concatenate([
@@ -249,11 +290,18 @@ class TestFitLadder:
         np.testing.assert_array_equal(trace.values,
                                       discretise_trace(ideal, ladder, 1.0).values)
 
-    def test_selection_arguments_reach_select_L(self):
-        levels, weights = np.arange(8.0), np.ones(8)
-        assert fit_ladder(levels, weights, max_L=5).L == select_L(levels, max_L=5) == 5
-        with pytest.raises(ValueError, match="gap_factor"):
-            fit_ladder(levels, weights, gap_factor=-1.0)
+    def test_max_L_reaches_the_search(self):
+        ideal = ideal_from_steps(np.arange(9.0), np.arange(8.0))
+        levels, durations = ideal.fit.levels, ideal.fit.durations()
+        assert fit_ladder(levels, durations).L == 7
+        ladder = fit_ladder(levels, durations, max_L=5)
+        assert ladder.L <= 5
+        assert discretise_idealisation(ideal, max_L=5).ladder == ladder
+
+    def test_empty_levels(self):
+        for L in (None, 2):
+            with pytest.raises(Empty):
+                fit_ladder(np.array([]), np.array([]), L)
 
     @pytest.mark.parametrize("scenario", ["zero", "negative"])
     def test_channel_count_rep_matches_the_inline_sequence(self, scenario):

@@ -483,6 +483,19 @@ class TestExtremumTable:
                             == (x[j0:j1 + 1].max(), y[j0:j1 + 1].min())), (size, j0, j1)
 
 
+    def test_range_extrema_take_numpy_integer_spans(self):
+        # spans found with numpy, such as np.flatnonzero positions, give the
+        # same extrema as Python ints
+        rng = np.random.default_rng(8)
+        x, y = rng.normal(size=37), rng.normal(size=37)
+        max_table, min_table = extremum_table(x, np.maximum), extremum_table(y, np.minimum)
+        starts = np.flatnonzero(x > 0)
+        for j0 in starts:
+            for j1 in np.flatnonzero(np.arange(37) >= j0):
+                assert isinstance(j1, np.integer)
+                assert (range_extrema(max_table, min_table, j0, j1)
+                        == range_extrema(max_table, min_table, int(j0), int(j1))), (j0, j1)
+
 class TestReferenceFit:
     """muscle_fit equals the fit driven by the per-scale counting probe."""
 

@@ -453,28 +453,42 @@ class TestCli:
         assert "--threads" in result.output
         assert not (out / "fdr-check.json").exists()
 
-    @pytest.mark.parametrize("factor", ["-2", "0", "nan", "inf"])
+    @pytest.mark.parametrize("factor", ["-2", "0", "nan", "inf", "3.0"])
     def test_bad_gap_factor_exit_code(self, runner, tmp_path, factor):
-        rec = synthesize_recording(ParamVector(1, [0.99], [0.99]), 500, 1000.0,
-                                   kernel="bspline2", noise=NoiseSpec("gaussian", sigma=0.05),
-                                   seed=3)
-        cio.write_recording(rec, tmp_path / "rec.csv")
-        out = tmp_path / "out"
-        result = runner.invoke(main, ["pipeline", "--input", str(tmp_path / "rec.csv"),
-                                      "--gap-factor", factor, "--out", str(out)])
-        assert result.exit_code == 4
-        assert "gap_factor" in result.output
-        assert not (out / "report.json").exists()
+        # the channel count comes from the ladder fit, which has no gap
+        # factor: any value, as a flag or a config key, is invalid
+        # configuration on both commands that choose L, and no stage runs
+        sidecar_recording(tmp_path / "rec.csv")
+        inputs = {"pipeline": tmp_path / "rec.csv",
+                  "discretise": self._staged_inputs(tmp_path)["discretise"]}
+        cfg = tmp_path / "cfg.json"
+        cio.dump_json({"gap_factor": float(factor)}, cfg)
+        for command, path in inputs.items():
+            args = [command, "--input", str(path)]
+            done = runner.invoke(main, [*args, "--out", str(tmp_path / command)])
+            assert done.exit_code == 0, done.output
+            for extra, message in ((["--gap-factor", factor], "--gap-factor"),
+                                   (["--config", str(cfg)], "gap_factor")):
+                out = tmp_path / f"{command}-{extra[0]}"
+                result = runner.invoke(main, [*args, *extra, "--out", str(out)])
+                assert result.exit_code == 2, (command, extra)
+                assert message in result.output
+                assert not out.exists()
 
-    @pytest.mark.parametrize("edit", ["theta", "truncate"])
+    @pytest.mark.parametrize("edit", ["theta", "truncate", "step_breaks"])
     def test_bad_sidecar_truth_exit_code(self, runner, tmp_path, edit):
-        # an impossible truth theta, or a CSV cut short of the sidecar's
-        # n_samples, is unreadable input: no stage runs
+        # an impossible truth theta, a CSV cut short of the sidecar's
+        # n_samples, or truth steps that run past the CSV's 300 samples are
+        # unreadable input: no stage runs
         path = tmp_path / "rec.csv"
         sidecar_recording(path)
-        if edit == "theta":
+        if edit in ("theta", "step_breaks"):
             meta = cio.load_json(cio.meta_path(path))
-            meta["truth"]["theta"]["lam"][0] = 1.7
+            if edit == "theta":
+                meta["truth"]["theta"]["lam"][0] = 1.7
+            else:
+                assert meta["truth"]["step_breaks"][-1] == 0.3
+                meta["truth"]["step_breaks"][-1] = 0.4
             cio.dump_json(meta, cio.meta_path(path))
         else:
             path.write_text("".join(path.read_text().splitlines(keepends=True)[:201]))
