@@ -23,7 +23,6 @@ from .model import (
     simulate_vnd,
     sum_transition_matrix,
     sum_transition_matrix_bruteforce,
-    validate_theta,
 )
 from .pipeline import PipelineResult, fit_ladder, run_pipeline
 from .synth import (

@@ -33,10 +33,6 @@ ENV_OUT_DIR = "COOPCHAN_OUT_DIR"
 _USER_SET = (ParameterSource.COMMANDLINE, ParameterSource.DEFAULT_MAP)
 
 
-class InvalidConfig(click.UsageError):
-    pass
-
-
 def _load_config(ctx, param, config_path: str | None) -> None:
     """The eager --config option: the file's values become the command's
     default_map, so click parses each as it parses the same flag.  JSON null
@@ -47,15 +43,15 @@ def _load_config(ctx, param, config_path: str | None) -> None:
     try:
         cfg = cio.load_json(config_path)
     except FileNotFoundError as err:
-        raise InvalidConfig(f"config file not found: {err}") from err
+        raise click.UsageError(f"config file not found: {err}") from err
     except ValueError as err:
-        raise InvalidConfig(f"config file is not valid JSON: {err}") from err
+        raise click.UsageError(f"config file is not valid JSON: {err}") from err
     if not isinstance(cfg, dict):
-        raise InvalidConfig("config file must hold a JSON object")
+        raise click.UsageError("config file must hold a JSON object")
     options = {p.name for p in ctx.command.params if isinstance(p, click.Option) and p.expose_value}
     unknown = sorted(set(cfg) - options - {"command"})
     if unknown:
-        raise InvalidConfig(f"config file names no option of {ctx.info_name}: {', '.join(unknown)}")
+        raise click.UsageError(f"config file names no option of {ctx.info_name}: {', '.join(unknown)}")
     ctx.default_map = {key: str(value) for key, value in cfg.items()
                        if key != "command" and value is not None}
 
@@ -77,17 +73,17 @@ def _read_input(reader, path, *args):
 
 def _parse_theta(theta_str: str | None, channels: int | None) -> ParamVector:
     if theta_str is None:
-        raise InvalidConfig("simulate needs --theta (2L comma-separated stay probabilities)")
+        raise click.UsageError("simulate needs --theta (2L comma-separated stay probabilities)")
     try:
         flat = np.array([float(v) for v in theta_str.replace(" ", "").split(",") if v])
     except ValueError as err:
-        raise InvalidConfig(f"cannot parse --theta: {err}") from err
+        raise click.UsageError(f"cannot parse --theta: {err}") from err
     if channels is not None and len(flat) != 2 * channels:
-        raise InvalidConfig(f"--theta has {len(flat)} entries, expected {2 * channels}")
+        raise click.UsageError(f"--theta has {len(flat)} entries, expected {2 * channels}")
     try:
         return ParamVector.from_flat(flat)
     except ValueError as err:
-        raise InvalidConfig(str(err)) from err
+        raise click.UsageError(str(err)) from err
 
 
 def _int_at_least(resolved: dict, key: str, least: int) -> int | None:
@@ -96,7 +92,7 @@ def _int_at_least(resolved: dict, key: str, least: int) -> int | None:
     value = resolved[key]
     if value is not None and value < least:
         flag = next(p.opts[0] for p in click.get_current_context().command.params if p.name == key)
-        raise InvalidConfig(f"{flag} must be at least {least}, got {value}")
+        raise click.UsageError(f"{flag} must be at least {least}, got {value}")
     return value
 
 
@@ -111,8 +107,8 @@ def _command(fn):
     --config and --out.  Flags override the config's values; the output
     directory and its run_config.json snapshot of the options the user set
     are written first, under the command's name followed by its arguments.
-    Failures exit 3 for I/O and 4 for a stage's ValueError; InvalidConfig is
-    click's usage error, 2."""
+    Failures exit 3 for I/O and 4 for a stage's ValueError; click.UsageError
+    is invalid configuration, 2."""
     name = fn.__name__.replace("_", "-")
     arguments = [p.name for p in getattr(fn, "__click_params__", [])
                  if isinstance(p, click.Argument)]
@@ -245,6 +241,11 @@ def _pipeline_once(rec, resolved, out: Path, L_override, suffix=""):
             counts, edges = level_histogram(value, rec.sample_rate)
             cio.write_histogram(edges[:-1], edges[1:], counts,
                                 out / f"levels_histogram{suffix}.csv")
+            if resolved["want_plots"]:
+                _plot_idealisation(out / f"trace{suffix}.svg", rec, value,
+                                   "recording and idealisation")
+                plots.svg_hist(out / f"levels{suffix}.svg", edges, counts,
+                               title="idealised conductance levels")
         elif name == "discretise":
             cio.write_discrete(value, rec.sample_rate, out / f"discrete{suffix}.csv")
 
@@ -261,12 +262,6 @@ def _pipeline_once(rec, resolved, out: Path, L_override, suffix=""):
                            metrics={**result.metrics, "selected_L": result.selected_L,
                                     "alpha": alpha, "feasible": result.idealisation.feasible}),
         out / f"report{suffix}.json")
-    if resolved["want_plots"]:
-        _plot_idealisation(out / f"trace{suffix}.svg", rec, result.idealisation,
-                           "recording and idealisation")
-        counts, edges = level_histogram(result.idealisation, rec.sample_rate)
-        plots.svg_hist(out / f"levels{suffix}.svg", edges, counts,
-                       title="idealised conductance levels")
     return result
 
 
@@ -289,11 +284,11 @@ def pipeline(resolved, out):
         try:
             lo, hi = (int(v) for v in sweep.split(":"))
         except ValueError as err:
-            raise InvalidConfig(f"cannot parse --L-sweep {sweep!r}") from err
+            raise click.UsageError(f"cannot parse --L-sweep {sweep!r}") from err
         if hi < lo:
-            raise InvalidConfig(f"--L-sweep {sweep!r} is an empty range")
+            raise click.UsageError(f"--L-sweep {sweep!r} is an empty range")
         if lo < 1:
-            raise InvalidConfig(f"--L-sweep {sweep!r} starts below 1")
+            raise click.UsageError(f"--L-sweep {sweep!r} starts below 1")
     rec = _read_input(cio.read_recording, resolved["input_path"], resolved["rate"])
     if sweep:
         for L in range(lo, hi + 1):
@@ -327,8 +322,9 @@ def markov_test(resolved, out):
 @click.option("--plots", "want_plots", is_flag=True)
 def dwell(resolved, out):
     """Per-state dwell-time histograms with exponential fits."""
+    state = _int_at_least(resolved, "state", 0)
     trace, rate = _read_input(cio.read_discrete, resolved["input_path"])
-    states = ([resolved["state"]] if resolved["state"] is not None
+    states = ([state] if state is not None
               else sorted(np.unique(trace.values).tolist()))
     summary = {}
     for s in states:

@@ -13,14 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 
-class EmptyTrace(ValueError):
-    """An operation that needs at least one sample got none."""
-
-
-class TooShort(ValueError):
-    """A trace holds fewer samples than the statistic asked of it needs."""
-
-
 def sample_times(n: int, sample_rate: float) -> np.ndarray:
     """The grid times t_k = k / sample_rate of samples k = 1..n."""
     return np.arange(1, n + 1) / sample_rate
@@ -116,12 +108,9 @@ class DiscreteTrace:
     def __post_init__(self):
         values = np.asarray(self.values)
         if values.ndim != 1 or len(values) == 0:
-            raise EmptyTrace("trace must hold at least one sample")
+            raise ValueError("trace must hold at least one sample")
         if not np.issubdtype(values.dtype, np.integer):
-            rounded = np.rint(values).astype(np.int64)
-            if not np.allclose(values, rounded):
-                raise ValueError("trace values must be integers")
-            values = rounded
+            raise ValueError("trace values must be integers")
         object.__setattr__(self, "values", values)
         if values.min() < 0 or values.max() > self.ladder.L:
             raise ValueError("trace values must lie in {0,...,L}")

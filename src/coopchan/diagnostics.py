@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import chi2
 
-from .core import DiscreteTrace, TooShort
+from .core import DiscreteTrace
 
 
 class AllCellsSparse(ValueError):
@@ -83,7 +83,7 @@ def markov_property_test(trace, min_expected: float = 5.0) -> MarkovTestResult:
     """
     values = np.asarray(trace.values if isinstance(trace, DiscreteTrace) else trace)
     if len(values) < 3:
-        raise TooShort("need at least three samples")
+        raise ValueError("need at least three samples")
     if values.min() < 0:
         raise ValueError("states must be nonnegative integers")
     n_states = int(values.max()) + 1

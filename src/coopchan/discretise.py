@@ -14,14 +14,6 @@ from .core import DiscreteTrace, LevelLadder
 from .idealise import Idealisation
 
 
-class Empty(ValueError):
-    pass
-
-
-class DegenerateInput(ValueError):
-    pass
-
-
 def _weighted_median(values: np.ndarray, weights: np.ndarray) -> float:
     order = np.argsort(values, kind="stable")
     cum = np.cumsum(weights[order])
@@ -43,7 +35,7 @@ def level_groups(levels) -> list[np.ndarray]:
     """
     levels = np.asarray(levels, dtype=float)
     if levels.size == 0:
-        raise Empty("need at least one level")
+        raise ValueError("need at least one level")
     uniq, agg = np.unique(levels, return_counts=True)
     if len(uniq) == 1:
         return [uniq]
@@ -154,16 +146,16 @@ def equal_spacing_cluster(levels, weights=None, L: int = 1) -> LevelLadder:
     """
     levels = np.asarray(levels, dtype=float)
     if levels.size == 0:
-        raise Empty("need at least one level")
+        raise ValueError("need at least one level")
     if L < 1:
-        raise DegenerateInput("L must be >= 1")
+        raise ValueError("L must be >= 1")
     weights = np.ones_like(levels) if weights is None else np.asarray(weights, dtype=float)
     if weights.shape != levels.shape or (weights < 0).any() or weights.sum() <= 0:
-        raise DegenerateInput("weights must be nonnegative with positive total")
+        raise ValueError("weights must be nonnegative with positive total")
     lo, hi = float(levels.min()), float(levels.max())
     span = hi - lo
     if span <= 0:
-        raise DegenerateInput("need at least two distinct levels")
+        raise ValueError("need at least two distinct levels")
 
     spacing_cands = span / L * np.linspace(0.15, 1.25, 23)
     centroids = np.sort([float(np.mean(g)) for g in level_groups(levels)])

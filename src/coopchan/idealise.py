@@ -31,10 +31,6 @@ from .core import StepFunction
 from .synth import Recording
 
 
-class InvalidAlpha(ValueError):
-    pass
-
-
 @lru_cache(maxsize=1024)
 def sign_bounds(alpha: float, n: int, m: int) -> tuple[int, int]:
     """Two-sided sign-count bounds (lower, m - lower) for a window of length
@@ -47,7 +43,7 @@ def sign_bounds(alpha: float, n: int, m: int) -> tuple[int, int]:
     length asks for the same bounds.
     """
     if not 0.0 < alpha < 1.0:
-        raise InvalidAlpha(f"alpha = {alpha!r} must be in (0, 1)")
+        raise ValueError(f"alpha = {alpha!r} must be in (0, 1)")
     if not 1 <= m <= n:
         raise ValueError(f"window length {m} outside 1..{n}")
     a2 = float(alpha) * m / (2.0 * (math.floor(math.log2(n)) + 1) * n) / 2.0
@@ -64,8 +60,11 @@ class Idealisation:
     """Piecewise-constant fit of a recording.
 
     ``feasible`` records whether the final fit passes its own sign-count
-    constraints when re-checked (it can only fail after equal-level segment
-    merges, which are vanishingly rare on continuous noise).
+    constraints when re-checked.  It can only fail after neighbouring
+    segments with equal levels collapse into one, which is routine on tied
+    samples: a noiseless L = 2 recording of 5000 samples with 96 true
+    switches (identity kernel, seed 0) idealises to 25 switches with
+    ``feasible`` false.
     """
 
     fit: StepFunction
@@ -111,7 +110,7 @@ class _Segmenter:
         self.yd = self.y[:: self.stride]
         self.nd = len(self.yd)
         if not 0.0 < alpha < 1.0:
-            raise InvalidAlpha(f"alpha = {alpha!r} must be in (0, 1)")
+            raise ValueError(f"alpha = {alpha!r} must be in (0, 1)")
         # (length, step, lower, lowcut, highcut) per calibrated scale, with the
         # order-statistic cuts of its grid windows on the decimated sequence:
         # a level c with lowcut < c < highcut has >= lower samples below it
@@ -402,8 +401,10 @@ def muscle_fit(recording: Recording, alpha: float = 0.1) -> Idealisation:
     Segments use the median of their tested samples as level.  Recordings up
     to 64 samples are segmented by an exact dynamic program (lexicographic
     in switch count, then total window deviation); longer ones by layered
-    maximal extension with a merge pass and local boundary refinement,
-    which matches the exact answer except on adversarial inputs.
+    maximal extension with a merge pass and local boundary refinement.
+    Run on 1200 random step inputs of 16-64 samples (Gaussian noise,
+    sigma = 0.1), that path always found the exact switch count, but its
+    boundaries differed from the exact ones on 238.
     """
     y = recording.samples
     prob = _Segmenter.from_recording(recording, alpha)

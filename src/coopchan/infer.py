@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import DiscreteTrace, TooShort
+from .core import DiscreteTrace
 from .model import (
     CooperativityReport,
     ParamVector,
@@ -23,10 +23,6 @@ from .model import (
     _row_params,
     transition_rows,
 )
-
-
-class DimMismatch(ValueError):
-    pass
 
 
 DEFAULT_GRID = tuple(np.round(np.arange(0.1, 0.95, 0.1), 10))
@@ -48,7 +44,7 @@ def empirical_transition_matrix(trace, L: int | None = None) -> TransitionMatrix
             raise ValueError("L is required for a bare value sequence")
         L = trace.ladder.L
     if len(values) < 2:
-        raise TooShort("need at least two samples to count transitions")
+        raise ValueError("need at least two samples to count transitions")
     if values.min() < 0 or values.max() > L:
         raise ValueError(f"trace values outside 0..{L}")
     dim = L + 1
@@ -74,7 +70,7 @@ def mde_objective(theta: ParamVector, q_hat: TransitionMatrix) -> float:
     """Squared Frobenius distance between model and empirical transition
     matrices; masked rows contribute nothing."""
     if q_hat.dim != theta.L + 1:
-        raise DimMismatch(f"matrix dim {q_hat.dim} does not match L = {theta.L}")
+        raise ValueError(f"matrix dim {q_hat.dim} does not match L = {theta.L}")
     return float(_row_residuals(theta, q_hat).sum())
 
 
@@ -90,7 +86,7 @@ def grid_init(q_hat: TransitionMatrix, L: int, grid=DEFAULT_GRID) -> ParamVector
     matching the identifiability convention.
     """
     if q_hat.dim != L + 1:
-        raise DimMismatch(f"matrix dim {q_hat.dim} does not match L = {L}")
+        raise ValueError(f"matrix dim {q_hat.dim} does not match L = {L}")
     grid = np.asarray(sorted(grid), dtype=float)
     if grid.size == 0:
         raise ValueError("grid must be nonempty")

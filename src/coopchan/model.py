@@ -22,10 +22,6 @@ from math import comb
 import numpy as np
 
 
-class WrongArity(ValueError):
-    """Parameter arrays do not both have exactly L entries."""
-
-
 class OutOfRange(ValueError):
     """A parameter entry lies outside [0, 1]."""
 
@@ -46,7 +42,7 @@ class ParamVector:
 
     eta[r-1] is the open->open stay probability when r channels are open, so
     the flat layout is (lam_0, ..., lam_{L-1}, eta_1, ..., eta_L).  Every
-    instance is valid: construction runs ``validate_theta``.
+    instance is valid: construction checks L >= 1, both lengths and the box.
     """
 
     L: int
@@ -57,15 +53,23 @@ class ParamVector:
         object.__setattr__(self, "L", int(self.L))
         object.__setattr__(self, "lam", np.atleast_1d(np.asarray(self.lam, dtype=float)))
         object.__setattr__(self, "eta", np.atleast_1d(np.asarray(self.eta, dtype=float)))
-        validate_theta(self)
+        if self.L < 1:
+            raise ValueError(f"L = {self.L} must be >= 1")
+        if len(self.lam) != self.L or len(self.eta) != self.L:
+            raise ValueError(
+                f"expected {self.L} entries each, got lam: {len(self.lam)}, eta: {len(self.eta)}"
+            )
+        for name, arr in (("lambda", self.lam), ("eta", self.eta)):
+            for i, v in enumerate(arr):
+                if not (0.0 <= v <= 1.0):
+                    raise OutOfRange(name, i, float(v))
 
     @classmethod
-    def from_flat(cls, flat, L: int | None = None) -> "ParamVector":
+    def from_flat(cls, flat) -> "ParamVector":
         flat = np.asarray(flat, dtype=float)
-        if L is None:
-            if len(flat) % 2:
-                raise WrongArity(f"flat vector of length {len(flat)} is not 2L")
-            L = len(flat) // 2
+        if len(flat) % 2:
+            raise ValueError(f"flat vector of length {len(flat)} is not 2L")
+        L = len(flat) // 2
         return cls(L, flat[:L], flat[L:])
 
     @classmethod
@@ -75,20 +79,6 @@ class ParamVector:
     @property
     def flat(self) -> np.ndarray:
         return np.concatenate([self.lam, self.eta])
-
-
-def validate_theta(theta: ParamVector) -> None:
-    """Raise WrongArity / OutOfRange unless theta is a valid parameter vector."""
-    if theta.L < 1:
-        raise WrongArity(f"L = {theta.L} must be >= 1")
-    if len(theta.lam) != theta.L or len(theta.eta) != theta.L:
-        raise WrongArity(
-            f"expected {theta.L} entries each, got lam: {len(theta.lam)}, eta: {len(theta.eta)}"
-        )
-    for name, arr in (("lambda", theta.lam), ("eta", theta.eta)):
-        for i, v in enumerate(arr):
-            if not (0.0 <= v <= 1.0):
-                raise OutOfRange(name, i, float(v))
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from functools import lru_cache
 import numpy as np
 import scipy.signal
 
-from .core import DiscreteTrace, EmptyTrace, LevelLadder, StepFunction, sample_times
+from .core import DiscreteTrace, LevelLadder, StepFunction, sample_times
 from .model import ParamVector, simulate_vnd, _seed_sequence
 
 DEFAULT_SAMPLE_RATE = 10_000.0
@@ -23,14 +23,6 @@ DEFAULT_BESSEL_CUTOFF_FRACTION = 0.1
 
 KERNEL_KINDS = ("identity", "bspline2", "bessel", "custom")
 NOISE_KINDS = ("gaussian", "cauchy", "mixture")
-
-
-class InvalidParam(ValueError):
-    pass
-
-
-class DomainExceeded(ValueError):
-    """Requested samples extend past the step function's support."""
 
 
 @dataclass(frozen=True)
@@ -47,15 +39,15 @@ class Kernel:
         taps = np.asarray(self.taps, dtype=float)
         object.__setattr__(self, "taps", taps)
         if self.kind not in KERNEL_KINDS:
-            raise InvalidParam(f"unknown kernel kind {self.kind!r}")
+            raise ValueError(f"unknown kernel kind {self.kind!r}")
         if not self.sample_rate > 0:
-            raise InvalidParam("sample_rate must be positive")
+            raise ValueError("sample_rate must be positive")
         if taps.ndim != 1 or len(taps) == 0:
-            raise InvalidParam("taps must be a nonempty vector")
+            raise ValueError("taps must be a nonempty vector")
         if (taps < 0).any():
-            raise InvalidParam("taps must be nonnegative")
+            raise ValueError("taps must be nonnegative")
         if abs(taps.sum() - 1.0) > 1e-12:
-            raise InvalidParam(f"taps sum to {taps.sum()!r}, not 1")
+            raise ValueError(f"taps sum to {taps.sum()!r}, not 1")
 
     def decimation_stride(self) -> int:
         """Smallest lag at which the tap autocorrelation drops to 0.1;
@@ -87,13 +79,13 @@ class NoiseSpec:
 
     def __post_init__(self):
         if self.kind not in NOISE_KINDS:
-            raise InvalidParam(f"unknown noise kind {self.kind!r}")
+            raise ValueError(f"unknown noise kind {self.kind!r}")
         if self.kind in ("gaussian", "mixture") and not self.sigma > 0:
-            raise InvalidParam("sigma must be positive")
+            raise ValueError("sigma must be positive")
         if self.kind in ("cauchy", "mixture") and not self.scale > 0:
-            raise InvalidParam("scale must be positive")
+            raise ValueError("scale must be positive")
         if not 0.0 <= self.weight_gaussian <= 1.0:
-            raise InvalidParam("weight_gaussian must be in [0, 1]")
+            raise ValueError("weight_gaussian must be in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -120,7 +112,7 @@ class Recording:
         samples = np.asarray(self.samples, dtype=float)
         object.__setattr__(self, "samples", samples)
         if samples.ndim != 1 or len(samples) < 1:
-            raise EmptyTrace("recording needs at least one sample")
+            raise ValueError("recording needs at least one sample")
         if not np.isfinite(samples).all():
             raise ValueError("recording samples must be finite")
         if not self.sample_rate > 0:
@@ -143,7 +135,7 @@ def _bessel_taps(order: int, cutoff: float, sample_rate: float) -> np.ndarray:
     renormalized to unit sum.  Studies build one kernel per repetition, so
     the taps are cached and shared read-only."""
     if order < 1 or not 0 < cutoff < sample_rate / 2:
-        raise InvalidParam("need order >= 1 and 0 < cutoff < sample_rate / 2")
+        raise ValueError("need order >= 1 and 0 < cutoff < sample_rate / 2")
     b, a = scipy.signal.bessel(order, 2 * np.pi * cutoff, btype="low", analog=True, norm="mag")
     # long enough grid: the response of a Bessel filter decays within a few
     # periods of the cutoff frequency
@@ -162,7 +154,7 @@ def _bessel_taps(order: int, cutoff: float, sample_rate: float) -> np.ndarray:
     taps = h[:end]
     lead = np.nonzero(taps > 0)[0]
     if len(lead) == 0:
-        raise InvalidParam("Bessel impulse response degenerated to zero")
+        raise ValueError("Bessel impulse response degenerated to zero")
     taps = taps[lead[0]:]
     taps = taps / taps.sum()
     taps.flags.writeable = False
@@ -185,7 +177,7 @@ def make_kernel(
     taps are normalized to unit sum.
     """
     if not sample_rate > 0:
-        raise InvalidParam("sample_rate must be positive")
+        raise ValueError("sample_rate must be positive")
     if kind == "identity":
         return Kernel("identity", np.array([1.0]), sample_rate)
     if kind == "bspline2":
@@ -197,19 +189,19 @@ def make_kernel(
     if kind == "custom":
         taps = np.asarray(taps, dtype=float)
         if taps.ndim != 1 or len(taps) == 0 or (taps < 0).any() or taps.sum() <= 0:
-            raise InvalidParam("custom taps must be nonnegative with positive sum")
+            raise ValueError("custom taps must be nonnegative with positive sum")
         return Kernel("custom", taps / taps.sum(), sample_rate)
-    raise InvalidParam(f"unknown kernel kind {kind!r}")
+    raise ValueError(f"unknown kernel kind {kind!r}")
 
 
 def step_from_trace(trace, offset: float, spacing: float, sample_rate: float) -> StepFunction:
     """Map per-sample counts to the conductance step function
     f(t_k) = offset + spacing * S_k, merging equal consecutive samples."""
     if not spacing > 0:
-        raise InvalidParam("spacing must be positive")
+        raise ValueError("spacing must be positive")
     values = np.asarray(trace.values if isinstance(trace, DiscreteTrace) else trace)
     if values.ndim != 1 or len(values) == 0:
-        raise EmptyTrace("trace must hold at least one sample")
+        raise ValueError("trace must hold at least one sample")
     starts = np.concatenate([[0], np.nonzero(values[1:] != values[:-1])[0] + 1])
     levels = offset + spacing * values[starts].astype(float)
     return StepFunction.on_grid(starts, levels, len(values), sample_rate)
@@ -220,7 +212,7 @@ def convolve_sample(f: StepFunction, kernel: Kernel, sample_rate: float, n: int)
     extended leftward so there is no start-up transient."""
     s = f.per_sample(sample_rate)
     if not 1 <= n <= len(s):
-        raise DomainExceeded(f"need 1 <= n <= {len(s)}, the samples up to t_max = {f.t_max}")
+        raise ValueError(f"need 1 <= n <= {len(s)}, the samples up to t_max = {f.t_max}")
     s = s[:n]
     m = len(kernel.taps)
     if m == 1:

@@ -1,14 +1,8 @@
 import numpy as np
 import pytest
 
-from coopchan.core import LevelLadder, StepFunction
-from coopchan.discretise import (
-    DegenerateInput,
-    Empty,
-    discretise_trace,
-    equal_spacing_cluster,
-    level_groups,
-)
+from coopchan.core import DiscreteTrace, LevelLadder, StepFunction
+from coopchan.discretise import discretise_trace, equal_spacing_cluster, level_groups
 from coopchan.idealise import Idealisation, muscle_fit
 from coopchan.infer import empirical_transition_matrix, mde_fit
 from coopchan.model import ParamVector, classify_cooperativity, simulate_vnd
@@ -80,7 +74,7 @@ class TestSelectL:
         assert chosen_L(np.arange(30.0), max_L=20) <= 20
 
     def test_empty(self):
-        with pytest.raises(Empty):
+        with pytest.raises(ValueError, match="need at least one level"):
             chosen_L([])
 
     def test_groups_partition(self):
@@ -166,10 +160,21 @@ class TestEqualSpacingCluster:
             assert (base_cost <= alt_cost + 1e-12).all()
 
     def test_degenerate_inputs(self):
-        with pytest.raises(DegenerateInput):
+        with pytest.raises(ValueError, match="need at least two distinct levels"):
             equal_spacing_cluster([1.0, 1.0, 1.0], L=2)
-        with pytest.raises(Empty):
+        with pytest.raises(ValueError, match="need at least one level"):
             equal_spacing_cluster([], L=1)
+
+
+class TestDiscreteTrace:
+    def test_float_values_are_rejected(self):
+        # counts are integers: a float array is refused, even one of whole numbers
+        with pytest.raises(ValueError, match="trace values must be integers"):
+            DiscreteTrace(values=np.array([0.0, 1.0, 2.0]), ladder=LevelLadder(2, 0.0, 1.0))
+
+    def test_empty_trace(self):
+        with pytest.raises(ValueError, match="trace must hold at least one sample"):
+            DiscreteTrace(values=np.array([], dtype=np.int64), ladder=LevelLadder(2, 0.0, 1.0))
 
 
 class TestDiscretiseTrace:
@@ -300,7 +305,7 @@ class TestFitLadder:
 
     def test_empty_levels(self):
         for L in (None, 2):
-            with pytest.raises(Empty):
+            with pytest.raises(ValueError, match="need at least one level"):
                 fit_ladder(np.array([]), np.array([]), L)
 
     @pytest.mark.parametrize("scenario", ["zero", "negative"])

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from coopchan import idealise
 from coopchan.core import StepFunction
 from coopchan.idealise import (
-    InvalidAlpha,
     _Segmenter,
     empirical_fdr,
     extremum_table,
@@ -106,14 +105,14 @@ class TestSignBounds:
         assert freq_in >= 1 - window_level(0.1, 1024, m)
 
     def test_invalid_alpha(self):
-        with pytest.raises(InvalidAlpha):
+        with pytest.raises(ValueError, match=r"alpha = 1.5 must be in \(0, 1\)"):
             sign_bounds(1.5, 100, 2)
         with pytest.raises(ValueError):
             sign_bounds(0.1, 100, 200)
 
     def test_invalid_alpha_without_calibrated_scales(self):
         # a one-sample recording has no window to bound, yet alpha is checked
-        with pytest.raises(InvalidAlpha):
+        with pytest.raises(ValueError, match=r"alpha = 1.5 must be in \(0, 1\)"):
             muscle_fit(make_recording([1.0]), alpha=1.5)
 
 

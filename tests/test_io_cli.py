@@ -434,6 +434,14 @@ class TestCli:
         assert summary["3"]["n_dwells"] == 0
         assert summary["3"]["rate"] is None
 
+    def test_dwell_state_above_L_exit_code(self, runner, tmp_path):
+        # a state the trace's ladder cannot hold is a value the stage rejects
+        src = self._staged_inputs(tmp_path)["dwell"]
+        result = runner.invoke(main, ["dwell", "--input", str(src), "--state", "3",
+                                      "--out", str(tmp_path / "out")])
+        assert result.exit_code == 4
+        assert "state 3 outside 0..2" in result.output
+
     @pytest.mark.parametrize("reps", ["0", "-1"])
     @pytest.mark.parametrize("study", ["fdr-check", "fig-errors-zero"])
     def test_reproduce_without_repetitions_exit_code(self, runner, tmp_path, study, reps):
@@ -620,6 +628,18 @@ class TestCli:
         assert (out / "run_config.json").exists()
         assert not (out / "report.json").exists()
 
+    def test_late_stage_failure_keeps_plots(self, runner, tmp_path):
+        # the plots need only the idealisation, so they are drawn with it and
+        # survive a failure of the verdict stage
+        sidecar_recording(tmp_path / "rec.csv")
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["pipeline", "--input", str(tmp_path / "rec.csv"),
+                                      "--plots", "--tolerance", "-1", "--out", str(out)])
+        assert result.exit_code == 4
+        assert sorted(p.name for p in out.iterdir()) == [
+            "discrete.csv", "discrete.meta.json", "idealisation.csv", "idealisation.meta.json",
+            "levels.svg", "levels_histogram.csv", "run_config.json", "trace.svg"]
+
     def test_constant_recording_discretises_like_the_pipeline(self, runner, tmp_path):
         # a single idealised level: discretise takes the pipeline's fallback
         # ladder and writes the same trace
@@ -755,14 +775,15 @@ class TestCli:
         (["discretise", "--max-L", "0"], "--max-L"),
         (["simulate", "--theta", "0.9,0.9", "--n", "0"], "--n"),
         (["simulate", "--theta", "0.9,0.9", "--bessel-order", "0"], "--bessel-order"),
+        (["dwell", "--state", "-1"], "--state"),
     ], ids=["pipeline-L", "pipeline-max-L", "pipeline-L-sweep", "discretise-L",
-            "discretise-max-L", "simulate-n", "simulate-bessel-order"])
+            "discretise-max-L", "simulate-n", "simulate-bessel-order", "dwell-state"])
     def test_integer_below_its_floor_exit_code(self, runner, tmp_path, command, flag):
         if command[0] == "pipeline":
             sidecar_recording(tmp_path / "rec.csv")
             command = [*command, "--input", str(tmp_path / "rec.csv")]
-        elif command[0] == "discretise":
-            command = [*command, "--input", str(self._staged_inputs(tmp_path)["discretise"])]
+        elif command[0] in ("discretise", "dwell"):
+            command = [*command, "--input", str(self._staged_inputs(tmp_path)[command[0]])]
         out = tmp_path / "out"
         result = runner.invoke(main, [*command, "--out", str(out)])
         assert result.exit_code == 2

@@ -12,12 +12,10 @@ from coopchan.model import (
     ParamVector,
     TransitionMatrix,
     Verdict,
-    WrongArity,
     classify_cooperativity,
     simulate_vnd,
     sum_transition_matrix,
     sum_transition_matrix_bruteforce,
-    validate_theta,
 )
 from coopchan.studies import l20_scenario
 
@@ -94,17 +92,17 @@ stay_probability = st.one_of(
 class TestValidate:
     def test_paper_scenario_vector_is_ok(self):
         theta = ParamVector(2, [0.99, 0.99], [0.99, 0.99])
-        validate_theta(theta)
+        assert theta.flat.tolist() == [0.99] * 4
 
     def test_out_of_range_reports_entry(self):
         with pytest.raises(OutOfRange) as err:
-            validate_theta(ParamVector(1, [1.2], [0.5]))
+            ParamVector(1, [1.2], [0.5])
         assert err.value.name == "lambda"
         assert err.value.index == 0
 
     def test_wrong_arity(self):
-        with pytest.raises(WrongArity):
-            validate_theta(ParamVector(2, [0.5], [0.5, 0.5]))
+        with pytest.raises(ValueError, match="expected 2 entries each, got lam: 1, eta: 2"):
+            ParamVector(2, [0.5], [0.5, 0.5])
 
     @pytest.mark.parametrize("lam, eta, name, index", [
         ([0.5, 1.0 + 1e-12], [0.5, 0.5], "lambda", 1),
@@ -125,7 +123,8 @@ class TestValidate:
         (0, [], []), (0, [0.5], [0.5]),
     ])
     def test_construction_rejects_wrong_arity(self, L, lam, eta):
-        with pytest.raises(WrongArity):
+        match = "must be >= 1" if L < 1 else f"expected {L} entries each"
+        with pytest.raises(ValueError, match=match):
             ParamVector(L, lam, eta)
 
     def test_flat_round_trip(self):
@@ -134,6 +133,10 @@ class TestValidate:
         np.testing.assert_array_equal(theta.lam, [0.1, 0.2, 0.3])
         np.testing.assert_array_equal(theta.eta, [0.4, 0.5, 0.6])
         np.testing.assert_array_equal(theta.flat, [0.1, 0.2, 0.3, 0.4, 0.5, 0.6])
+
+    def test_flat_of_odd_length(self):
+        with pytest.raises(ValueError, match="flat vector of length 3 is not 2L"):
+            ParamVector.from_flat([0.5, 0.5, 0.5])
 
 
 class TestSumTransitionMatrix:
