@@ -75,7 +75,7 @@ def _parse_theta(theta_str: str | None, channels: int | None) -> ParamVector:
     if theta_str is None:
         raise click.UsageError("simulate needs --theta (2L comma-separated stay probabilities)")
     try:
-        flat = np.array([float(v) for v in theta_str.replace(" ", "").split(",") if v])
+        flat = np.array([float(v) for v in theta_str.replace(" ", "").split(",")])
     except ValueError as err:
         raise click.UsageError(f"cannot parse --theta: {err}") from err
     if channels is not None and len(flat) != 2 * channels:
@@ -86,14 +86,26 @@ def _parse_theta(theta_str: str | None, channels: int | None) -> ParamVector:
         raise click.UsageError(str(err)) from err
 
 
-def _int_at_least(resolved: dict, key: str, least: int) -> int | None:
-    """Integer option ``key``, None when unset; a value below ``least`` is
-    invalid configuration."""
+def _checked(resolved: dict, key: str, ok, bound: str):
+    """Option ``key``, None when unset; a value ``ok`` rejects (NaN fails
+    every comparison) is invalid configuration."""
     value = resolved[key]
-    if value is not None and value < least:
+    if value is not None and not ok(value):
         flag = next(p.opts[0] for p in click.get_current_context().command.params if p.name == key)
-        raise click.UsageError(f"{flag} must be at least {least}, got {value}")
+        raise click.UsageError(f"{flag} must be {bound}, got {value}")
     return value
+
+
+def _int_at_least(resolved: dict, key: str, least: int) -> int | None:
+    return _checked(resolved, key, lambda v: v >= least, f"at least {least}")
+
+
+def _alpha(resolved: dict) -> float:
+    return _checked(resolved, "alpha", lambda v: 0.0 < v < 1.0, "in (0, 1)")
+
+
+def _tolerance(resolved: dict) -> float:
+    return _checked(resolved, "tolerance", lambda v: v > 0.0, "positive")
 
 
 @click.group(context_settings={"show_default": True})
@@ -189,8 +201,8 @@ def _plot_idealisation(path, rec, ideal, title: str) -> None:
 @click.option("--plots", "want_plots", is_flag=True)
 def idealise(resolved, out):
     """Fit a minimum-switch step function to a recording."""
+    alpha = _alpha(resolved)
     rec = _read_input(cio.read_recording, resolved["input_path"], resolved["rate"])
-    alpha = resolved["alpha"]
     ideal = muscle_fit(rec, alpha=alpha)
     cio.write_idealisation(ideal, out / "idealisation.csv")
     if resolved["want_plots"]:
@@ -219,12 +231,12 @@ def discretise(resolved, out):
 @click.option("--input", "input_path", required=True, type=click.Path(),
               help="discrete.csv from the discretise command.")
 @click.option("--tolerance", type=float, default=1e-3, help="Verdict ratio tolerance.")
-@click.option("--branch", type=click.Choice(["auto", "plus", "minus"]), default="auto")
 def infer(resolved, out):
     """Fit the coupled-chain parameters and classify cooperativity."""
+    tolerance = _tolerance(resolved)
     trace, _ = _read_input(cio.read_discrete, resolved["input_path"])
-    fit = mde_fit(empirical_transition_matrix(trace), trace.ladder.L, branch=resolved["branch"])
-    report = cooperativity_report(fit.theta_hat, tol=resolved["tolerance"])
+    fit = mde_fit(empirical_transition_matrix(trace), trace.ladder.L)
+    report = cooperativity_report(fit.theta_hat, tol=tolerance)
     cio.dump_json(cio.report_to_dict(report, fit.diagnostics, fit.objective),
                   out / "report.json")
     click.echo(f"verdict: {report.verdict.value} objective: {fit.objective:.3e}")
@@ -279,6 +291,8 @@ def pipeline(resolved, out):
     """Full analysis: idealise, discretise, infer, report."""
     L = _int_at_least(resolved, "channels", 1)
     _int_at_least(resolved, "max_l", 1)
+    _alpha(resolved)
+    _tolerance(resolved)
     sweep = resolved["l_sweep"]
     if sweep:
         try:

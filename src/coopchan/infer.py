@@ -61,8 +61,8 @@ def _row_residuals(theta: ParamVector, q_hat: TransitionMatrix) -> np.ndarray:
     out = np.zeros(theta.L + 1)
     for i in np.flatnonzero(q_hat.row_mask()):
         li, ei = _row_params(theta, i)
-        out[i] = _residuals(theta.L, i, q_hat.entries[i], np.array([[li]]), np.array([[ei]]),
-                            [0.0])[0, 0, 0]
+        out[i] = _residuals(theta.L, i, q_hat.entries[i], np.array([[li]]),
+                            np.array([[ei]]))[0, 0, 0]
     return out
 
 
@@ -80,10 +80,9 @@ def grid_init(q_hat: TransitionMatrix, L: int, grid=DEFAULT_GRID) -> ParamVector
     Row separability reduces the product-grid search to an independent scan
     of the candidate (lam_i, eta_i) pairs per row; ties resolve to the
     lexicographically smallest parameter vector (masked rows therefore take
-    the smallest grid value).  The middle row of an even L is mirror
-    symmetric under (lam, eta) -> (1-eta, 1-lam), so its grid ties come in
-    branch pairs; those resolve toward the plus branch (lam >= 1 - eta),
-    matching the identifiability convention.
+    the smallest grid value).  The middle row of an even L is scanned on
+    the plus branch, as the fit solves it; a grid with no plus point there
+    leaves that row at its smallest candidate.
     """
     if q_hat.dim != L + 1:
         raise ValueError(f"matrix dim {q_hat.dim} does not match L = {L}")
@@ -92,56 +91,54 @@ def grid_init(q_hat: TransitionMatrix, L: int, grid=DEFAULT_GRID) -> ParamVector
         raise ValueError("grid must be nonempty")
     lam = np.full(L, grid[0])
     eta = np.full(L, grid[0])
+    half = L // 2 if L % 2 == 0 else None
     for i in np.flatnonzero(q_hat.row_mask()):
         lam_axis = grid if i < L else np.zeros(1)
         eta_axis = grid if i >= 1 else np.zeros(1)
         # lam-major candidates over the sorted grid are in lexicographic order
         vals = _residuals(L, i, q_hat.entries[i], lam_axis[None], eta_axis[None],
-                          [0.0]).ravel()
-        ties = np.flatnonzero(vals <= vals.min() + 1e-15)
-        ll, ee = lam_axis[ties // eta_axis.size], eta_axis[ties % eta_axis.size]
-        # the first tie on the plus branch, if any
-        first = int(np.argmin(ll < 1.0 - ee)) if L % 2 == 0 and i == L // 2 else 0
+                          plus=i == half).ravel()
+        first = np.flatnonzero(vals <= vals.min() + 1e-15)[0]
         if i < L:
-            lam[i] = ll[first]
+            lam[i] = lam_axis[first // eta_axis.size]
         if i >= 1:
-            eta[i - 1] = ee[first]
+            eta[i - 1] = eta_axis[first % eta_axis.size]
     return ParamVector(L, lam, eta)
 
 
 _OFFSETS = np.linspace(-1.0, 1.0, 11)
 _N_STARTS = 6
-# where a log barrier on (0, 1)^2 and on the branch gap puts a middle row
-# that no data constrains: lam = eta = (5 +- sqrt 5) / 10
-_BRANCH_CENTRE = {1.0: (5.0 + np.sqrt(5.0)) / 10.0, -1.0: (5.0 - np.sqrt(5.0)) / 10.0}
+# where a log barrier on (0, 1)^2 and on the plus branch puts a middle row
+# that no data constrains: lam = eta = (5 + sqrt 5) / 10
+_BRANCH_CENTRE = (5.0 + np.sqrt(5.0)) / 10.0
 
 
 def _residuals(L: int, i: int, target: np.ndarray, lam: np.ndarray, eta: np.ndarray,
-               signs) -> np.ndarray:
+               plus: bool = False) -> np.ndarray:
     """Residual of row i at every pair of a lam axis (S, A) and an eta axis
-    (S, B) per block: returns (S, A, B).  Candidates off block s's branch
-    ``signs[s] * (lam + eta - 1) >= 0`` score infinity, so a sign of 0
-    constrains nothing; one block (S = 1) may be masked under several signs.
+    (S, B) per block: returns (S, A, B).  With ``plus``, candidates off the
+    plus branch lam + eta - 1 >= 0 score infinity.
 
     The objective, the grid start and the row solves all score rows here, and
     a candidate scores the same bits alone as inside a block, so their values
     compare exactly."""
     vals = ((transition_rows(L, i, lam, eta) - target) ** 2).sum(axis=-1)
-    gap = lam[:, :, None] - 1.0 + eta[:, None, :]
-    return np.where(np.asarray(signs)[:, None, None] * gap >= 0, vals, np.inf)
+    if not plus:
+        return vals
+    return np.where(lam[:, :, None] - 1.0 + eta[:, None, :] >= 0, vals, np.inf)
 
 
 def _shrink(L: int, i: int, target: np.ndarray, lam: np.ndarray, eta: np.ndarray,
-            best: np.ndarray, signs: np.ndarray):
+            best: np.ndarray, plus: bool):
     """Local 11 x 11 grid search around each start, moving to the best
     candidate while it improves and shrinking the grid five-fold when it does
     not, until the width is at most 1e-7.
 
     The starts run in lock-step, one residual evaluation per step for every
-    start still shrinking, but each keeps its own branch sign, width and
-    best; the result is that of polishing them one after another.  A clipped
-    candidate that repeats another scores the same and comes later in the
-    lam-major order, so it never wins the first-occurrence arg-min.
+    start still shrinking, but each keeps its own width and best; the result
+    is that of polishing them one after another.  A clipped candidate that
+    repeats another scores the same and comes later in the lam-major order,
+    so it never wins the first-occurrence arg-min.
     """
     lam, eta, best = lam.copy(), eta.copy(), best.copy()
     width = np.full(len(lam), 0.05)
@@ -152,7 +149,7 @@ def _shrink(L: int, i: int, target: np.ndarray, lam: np.ndarray, eta: np.ndarray
             else lam[active, None]
         eta_c = np.clip(eta[active, None] + w * _OFFSETS, 1e-9, 1 - 1e-9) if i >= 1 \
             else eta[active, None]
-        vals = _residuals(L, i, target, lam_c, eta_c, signs[active]).reshape(active.size, -1)
+        vals = _residuals(L, i, target, lam_c, eta_c, plus).reshape(active.size, -1)
         k = vals.argmin(axis=1)
         rows = np.arange(active.size)
         val = vals[rows, k]
@@ -167,106 +164,73 @@ def _shrink(L: int, i: int, target: np.ndarray, lam: np.ndarray, eta: np.ndarray
 
 
 def _solve_row(L: int, i: int, target: np.ndarray, lam_i: float, eta_i: float,
-               signs=(0.0,)) -> list[tuple[float, float, float]]:
-    """Exact minimum of row i's residual over (lam_i, eta_i) on each branch
-    of ``signs``, starting from the grid value: one (lam_i, eta_i, residual)
-    per sign.
+               plus: bool = False) -> tuple[float, float, float]:
+    """Exact minimum of row i's residual over (lam_i, eta_i), on the plus
+    branch with ``plus``, starting from the grid value: returns
+    (lam_i, eta_i, residual).
 
     A full 2-D scan comes first, because the row residual can be multimodal
-    and a coarse start may sit in the wrong basin; it is scored once and
-    masked per branch.  Its six best points per branch are then polished in
-    one lock-step search, since narrow basins can hide between scan points.
-    The start itself stays a candidate.  A nonzero sign restricts the middle
-    row of an even L to one identifiability branch; the winner lies on it,
-    so its residual is the one ``_row_residuals`` gives it.
+    and a coarse start may sit in the wrong basin.  Its six best points are
+    then polished in one lock-step search, since narrow basins can hide
+    between scan points.  The start itself stays a candidate unless the
+    branch excludes it.  The winner lies on the branch, where the mask
+    changes no value, so its residual is the one ``_row_residuals`` gives it.
     """
-    signs = np.asarray(signs, dtype=float)
     fine = np.linspace(0.008, 0.992, 61 if L <= 8 else 41)
-    start_vals = _residuals(L, i, target, np.array([[lam_i]]), np.array([[eta_i]]),
-                            signs)[:, 0, 0]
+    start_val = _residuals(L, i, target, np.array([[lam_i]]), np.array([[eta_i]]),
+                           plus)[0, 0, 0]
     lam_axis = fine if i < L else np.array([lam_i])
     eta_axis = fine if i >= 1 else np.array([eta_i])
-    vals = _residuals(L, i, target, lam_axis[None], eta_axis[None], signs)
-    vals = vals.reshape(len(signs), -1)
-    order = np.argsort(vals, axis=1, kind="stable")[:, :_N_STARTS]
-    owner = np.repeat(np.arange(len(signs)), order.shape[1])
-    k = order.ravel()
-    keep = np.isfinite(vals[owner, k])
-    owner, k = owner[keep], k[keep]
+    vals = _residuals(L, i, target, lam_axis[None], eta_axis[None], plus).ravel()
+    k = np.argsort(vals, kind="stable")[:_N_STARTS]
+    k = k[np.isfinite(vals[k])]
     best, lam, eta = _shrink(L, i, target, lam_axis[k // eta_axis.size],
-                             eta_axis[k % eta_axis.size], vals[owner, k], signs[owner])
-    out = []
-    for s, start_val in enumerate(start_vals):
-        mine = owner == s
-        # strict improvement over the start and over earlier starts wins
-        vals = np.concatenate([[start_val], best[mine]])
-        j = int(np.argmin(vals))
-        out.append((float(np.r_[lam_i, lam[mine]][j]), float(np.r_[eta_i, eta[mine]][j]),
-                    float(vals[j])))
-    return out
+                             eta_axis[k % eta_axis.size], vals[k], plus)
+    # strict improvement over the start and over earlier starts wins
+    vals = np.concatenate([[start_val], best])
+    j = int(np.argmin(vals))
+    return float(np.r_[lam_i, lam][j]), float(np.r_[eta_i, eta][j]), float(vals[j])
 
 
-_BRANCH_SIGNS = {"auto": [1.0, -1.0], "plus": [1.0], "minus": [-1.0]}
-
-
-def mde_fit(q_hat: TransitionMatrix, L: int, branch: str = "auto") -> MdeResult:
+def mde_fit(q_hat: TransitionMatrix, L: int) -> MdeResult:
     """Minimum distance estimate of the parameter vector from empirical
     transition frequencies.
 
     The grid initialization is followed by an exact solve of each visited
-    row.  For even L the middle row is solved on each identifiability branch
-    (lam_{L/2} >= 1 - eta_{L/2} and the reverse) in one search, unless
-    ``branch`` is "plus" or "minus"; the other rows do not depend on the
-    branch.  The lower objective wins, ties resolve to plus, and both are
-    recorded in the diagnostics.  Each row's solve keeps its grid value as a
-    candidate when that value lies on the solved branch, so no such row ends
-    worse than its start, and the objective never exceeds the grid
-    initialization's (``grid_objective``) when the grid's middle row lies on
-    the chosen branch.  Grid ties on the middle row resolve to plus.  A
-    masked middle row takes the chosen branch's centre,
-    lam = eta = (5 +- sqrt 5) / 10; other masked rows keep their grid value.
+    row.  For even L the middle row is solved on the plus branch
+    (lam_{L/2} >= 1 - eta_{L/2}) alone: its law is mirror symmetric under
+    (lam, eta) -> (1 - eta, 1 - lam), so the minus branch holds the mirror
+    of every plus solution at the same residual.  Each row's solve keeps
+    its grid value as a candidate, and the grid scans the middle row on the
+    plus branch too, so no row ends worse than its start and the objective
+    never exceeds the grid initialization's (``grid_objective``).  A masked
+    middle row takes the plus branch's centre, lam = eta = (5 + sqrt 5) / 10;
+    other masked rows keep their grid value.
 
     Diagnostics carry ``row_residuals``, each row's share of the objective
     (0 for masked rows).
     """
-    if branch not in _BRANCH_SIGNS:
-        raise ValueError("branch must be auto, plus or minus")
     mask = q_hat.row_mask()
     start = grid_init(q_hat, L)
     half = L // 2 if L % 2 == 0 else None
-    branches = [None] if half is None else _BRANCH_SIGNS[branch]
 
     # one (lam_i, eta_i, residual) record per row; masked rows keep their
     # grid value and add nothing
-    shared = [(*_row_params(start, i), 0.0) for i in range(L + 1)]
+    rows = [(*_row_params(start, i), 0.0) for i in range(L + 1)]
     for i in np.flatnonzero(mask):
-        if i != half:
-            shared[i] = _solve_row(L, int(i), q_hat.entries[i], *_row_params(start, i))[0]
-    solutions = {sign: list(shared) for sign in branches}
-    if half is not None and mask[half]:
-        solved = _solve_row(L, half, q_hat.entries[half], *_row_params(start, half), branches)
-        for sign, row in zip(branches, solved):
-            solutions[sign][half] = row
-    f = {sign: float(np.array([r[2] for r in rows]).sum()) for sign, rows in solutions.items()}
-    key = branches[0]
-    # the two branches are observationally equivalent mirrors, so exact
-    # input ties them to numerical noise; ties resolve to plus
-    if len(f) == 2 and abs(f[1.0] - f[-1.0]) > max(1e-12, 1e-9 * (1.0 + min(f.values()))):
-        key = min(f, key=f.get)
-    rows, objective = solutions[key], f[key]
+        rows[i] = _solve_row(L, int(i), q_hat.entries[i], *_row_params(start, i),
+                             plus=i == half)
     if half is not None and not mask[half]:
-        rows[half] = (_BRANCH_CENTRE[key], _BRANCH_CENTRE[key], 0.0)
+        rows[half] = (_BRANCH_CENTRE, _BRANCH_CENTRE, 0.0)
 
     theta_hat = ParamVector(L, [r[0] for r in rows[:L]], [r[1] for r in rows[1:]])
     diagnostics = {
         "grid_objective": float(_row_residuals(start, q_hat).sum()),
         "masked_rows": [int(i) for i in np.nonzero(~mask)[0]],
         "degenerate": bool(mask.sum() <= 1),
-        "branch": {None: "none", 1.0: "plus", -1.0: "minus"}[key],
         "row_residuals": [r[2] for r in rows],
     }
-    if len(f) == 2:
-        diagnostics["branch_objectives"] = {"plus": f[1.0], "minus": f[-1.0]}
+    objective = float(np.array([r[2] for r in rows]).sum())
     return MdeResult(theta_hat=theta_hat, objective=objective, diagnostics=diagnostics)
 
 

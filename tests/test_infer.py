@@ -2,10 +2,9 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from coopchan import infer
 from coopchan.core import DiscreteTrace, LevelLadder
 from coopchan.infer import (
     _BRANCH_CENTRE,
@@ -54,7 +53,8 @@ def reference_rows(L, i, lam, eta):
 
 def reference_grid_init(q_hat, L, grid=DEFAULT_GRID):
     """The product-grid start one candidate at a time: each scored alone,
-    the tied ones sorted in Python by the documented keys."""
+    off the plus branch on the middle row of an even L scoring infinity,
+    the tied ones sorted in Python lexicographically."""
     grid = sorted(float(g) for g in grid)
     lam = np.full(L, grid[0])
     eta = np.full(L, grid[0])
@@ -63,14 +63,13 @@ def reference_grid_init(q_hat, L, grid=DEFAULT_GRID):
         for lv in grid if i < L else [0.0]:
             for ev in grid if i >= 1 else [0.0]:
                 row = reference_rows(L, i, [lv], [ev])
-                scored.append((float(((row - q_hat.entries[i]) ** 2).sum()), lv, ev))
+                val = float(((row - q_hat.entries[i]) ** 2).sum())
+                if L % 2 == 0 and i == L // 2 and not lv - 1.0 + ev >= 0:
+                    val = np.inf
+                scored.append((val, lv, ev))
         min_val = min(s[0] for s in scored)
-        ties = [s for s in scored if s[0] <= min_val + 1e-15]
-        if L % 2 == 0 and i == L // 2:
-            ties.sort(key=lambda s: (s[1] < 1.0 - s[2], s[1], s[2]))
-        else:
-            ties.sort(key=lambda s: (s[1], s[2]))
-        _, best_lam, best_eta = ties[0]
+        ties = sorted(s[1:] for s in scored if s[0] <= min_val + 1e-15)
+        best_lam, best_eta = ties[0]
         if i < L:
             lam[i] = best_lam
         if i >= 1:
@@ -81,9 +80,10 @@ def reference_grid_init(q_hat, L, grid=DEFAULT_GRID):
 @st.composite
 def q_hats(draw):
     """(L, Q-hat) for L = 1..6: exact matrices of truths on the grid, of
-    truths whose middle row is the minus mirror of a grid point (so the grid
-    ties across branches), or of interior truths; or the frequencies of a
-    short trace of sticky channels.  Rows may be masked on top."""
+    truths whose middle row is the minus mirror of a grid point (so the
+    grid's best middle-row point is that point, the plus mirror), or of
+    interior truths; or the frequencies of a short trace of sticky channels.
+    Rows may be masked on top."""
     L = draw(st.integers(min_value=1, max_value=6))
     kind = draw(st.sampled_from(["grid", "mirror", "interior", "sticky"]))
     if kind == "sticky":
@@ -109,7 +109,14 @@ def q_hats(draw):
     return L, TransitionMatrix(entries, row_counts=keep.astype(int))
 
 
-def reference_row_solve(L, i, target, lam_i, eta_i, branch_sign):
+# a truth whose middle row (0.7, 0.3) lies on lam + eta = 1, where
+# 0.7 - 1.0 + 0.3 rounds to -5.6e-17: off the plus branch as the solve
+# scores it, so the grid start must not take it either, or the fit could
+# end above its grid objective
+ON_THE_BRANCH_LINE = (2, sum_transition_matrix(ParamVector(2, [0.5, 0.7], [0.3, 0.5])))
+
+
+def reference_row_solve(L, i, target, lam_i, eta_i, plus):
     """The per-row solve with its six starts polished one after another,
     each by a loop over np.unique'd candidate grids: the reference the
     lock-step search must reproduce bit for bit."""
@@ -119,8 +126,8 @@ def reference_row_solve(L, i, target, lam_i, eta_i, branch_sign):
     def residuals(lam_c, eta_c):
         rows = reference_rows(L, i, lam_c, eta_c)
         vals = ((rows - target[None, :]) ** 2).sum(axis=1)
-        if branch_sign is not None:
-            vals = np.where(branch_sign * (lam_c - 1.0 + eta_c) >= 0, vals, np.inf)
+        if plus:
+            vals = np.where(lam_c - 1.0 + eta_c >= 0, vals, np.inf)
         return vals
 
     def shrink(lam_i, eta_i, best):
@@ -154,14 +161,15 @@ def reference_row_solve(L, i, target, lam_i, eta_i, branch_sign):
     return best[1], best[2]
 
 
-def reference_fit(q_hat, L, branch_sign):
-    """Grid start, then every visited row solved one start at a time."""
+def reference_fit(q_hat, L):
+    """Grid start, then every visited row solved one start at a time, the
+    middle row of an even L on the plus branch."""
     x = grid_init(q_hat, L).flat
     for i in np.flatnonzero(q_hat.row_mask()):
-        sign = branch_sign if L % 2 == 0 and i == L // 2 else None
         lam_i, eta_i = reference_row_solve(L, i, q_hat.entries[i],
                                            x[i] if i < L else 0.0,
-                                           x[L + i - 1] if i >= 1 else 0.0, sign)
+                                           x[L + i - 1] if i >= 1 else 0.0,
+                                           L % 2 == 0 and i == L // 2)
         if i < L:
             x[i] = lam_i
         if i >= 1:
@@ -169,61 +177,30 @@ def reference_fit(q_hat, L, branch_sign):
     return x
 
 
-def reference_mde_fit(q_hat, L, branch="auto"):
-    """The MDE on a flat parameter vector: rows solved into copies of the
-    grid start, each branch scored by the row residuals of its vector, and
-    the winner's residuals computed again from theta-hat."""
+def reference_mde_fit(q_hat, L):
+    """The MDE on a flat parameter vector: rows solved into a copy of the
+    grid start, and the residuals computed again from theta-hat."""
     mask = q_hat.row_mask()
     start = grid_init(q_hat, L)
-    x0 = start.flat
+    x = start.flat
     half = L // 2 if L % 2 == 0 else None
-    branches = [None] if half is None else {"auto": [1.0, -1.0], "plus": [1.0],
-                                            "minus": [-1.0]}[branch]
-
-    def solve_into(x, i, sign=None):
-        lam_i, eta_i, _ = _solve_row(L, i, q_hat.entries[i], *_row_params(start, i),
-                                     [0.0 if sign is None else sign])[0]
+    for i in np.flatnonzero(mask):
+        lam_i, eta_i, _ = _solve_row(L, int(i), q_hat.entries[i], *_row_params(start, i),
+                                     plus=i == half)
         if i < L:
             x[i] = lam_i
         if i >= 1:
             x[L + i - 1] = eta_i
-
-    def objective(z):
-        return float(_row_residuals(ParamVector.from_flat(z), q_hat).sum())
-
-    x_shared = x0.copy()
-    for i in np.flatnonzero(mask):
-        if i != half:
-            solve_into(x_shared, int(i))
-    solutions = {}
-    for sign in branches:
-        x = x_shared.copy()
-        if half is not None and mask[half]:
-            solve_into(x, half, sign)
-        solutions[sign] = (x, objective(x))
-    if len(solutions) == 2:
-        f_plus, f_minus = solutions[1.0][1], solutions[-1.0][1]
-        if abs(f_plus - f_minus) <= max(1e-12, 1e-9 * (1.0 + min(f_plus, f_minus))):
-            key = 1.0
-        else:
-            key = min(solutions, key=lambda s: solutions[s][1])
-    else:
-        key = branches[0]
-    x_best = solutions[key][0]
     if half is not None and not mask[half]:
-        x_best[half] = x_best[L + half - 1] = _BRANCH_CENTRE[key]
-    theta_hat = ParamVector.from_flat(x_best)
+        x[half] = x[L + half - 1] = _BRANCH_CENTRE
+    theta_hat = ParamVector.from_flat(x)
     residuals = _row_residuals(theta_hat, q_hat)
     diagnostics = {
-        "grid_objective": objective(x0),
+        "grid_objective": float(_row_residuals(start, q_hat).sum()),
         "masked_rows": [int(i) for i in np.nonzero(~mask)[0]],
         "degenerate": bool(mask.sum() <= 1),
-        "branch": {None: "none", 1.0: "plus", -1.0: "minus"}[key],
         "row_residuals": [float(r) for r in residuals],
     }
-    if len(solutions) == 2:
-        diagnostics["branch_objectives"] = {"plus": float(solutions[1.0][1]),
-                                            "minus": float(solutions[-1.0][1])}
     return theta_hat, float(residuals.sum()), diagnostics
 
 
@@ -326,22 +303,21 @@ class TestRowResidual:
     @settings(max_examples=60, deadline=None)
     def test_candidate_scores_the_same_alone_and_in_a_batch(self, L, block, data):
         # the objective scores one candidate, the grid start one block of
-        # axes, and the row solves several blocks, each under its own branch
-        # sign; their values must compare exactly
+        # axes, and the row solves several blocks, on the plus branch or
+        # unmasked; their values must compare exactly
         i = data.draw(st.integers(min_value=0, max_value=L))
         lam, eta = block
         S, A, B = lam.shape[0], lam.shape[1], eta.shape[1]
-        signs = np.array(data.draw(st.lists(st.sampled_from([0.0, 1.0, -1.0]),
-                                            min_size=S, max_size=S)))
+        plus = data.draw(st.booleans())
         target = transition_rows(L, i, [[data.draw(UNIT)]], [[data.draw(UNIT)]])[0, 0, 0]
-        scored = _residuals(L, i, target, lam, eta, signs)
+        scored = _residuals(L, i, target, lam, eta, plus)
         alone = [_residuals(L, i, target, lam[s:s + 1, a:a + 1], eta[s:s + 1, b:b + 1],
-                            signs[s:s + 1])[0, 0, 0]
+                            plus)[0, 0, 0]
                  for s in range(S) for a in range(A) for b in range(B)]
         assert scored.tobytes() == np.array(alone).tobytes()
         ll, ee = pairs(lam, eta)
         paired = ((reference_rows(L, i, ll, ee) - target[None, :]) ** 2).sum(axis=1)
-        on_branch = np.repeat(signs, A * B) * (ll - 1.0 + ee) >= 0
+        on_branch = (ll - 1.0 + ee >= 0) | (not plus)
         assert scored.tobytes() == np.where(on_branch, paired, np.inf).tobytes()
 
     def test_objective_rows_use_the_row_residual(self):
@@ -351,7 +327,7 @@ class TestRowResidual:
         for i, reported in enumerate(fit.diagnostics["row_residuals"]):
             li, ei = _row_params(fit.theta_hat, i)
             assert reported == _residuals(3, i, q_hat.entries[i], np.array([[li]]),
-                                          np.array([[ei]]), [0.0])[0, 0, 0]
+                                          np.array([[ei]]))[0, 0, 0]
 
 
 class TestGridInit:
@@ -366,9 +342,9 @@ class TestGridInit:
         np.testing.assert_allclose(init.flat, [0.9, 0.9, 0.9, 0.9])
 
     def test_matches_full_product_scan(self):
-        # the row-separable arg-min equals brute force over the full grid,
-        # with ties resolved as documented (plus branch on the middle row,
-        # lexicographically smallest otherwise)
+        # the row-separable arg-min equals brute force over the full grid
+        # with the middle row on the plus branch, ties resolved
+        # lexicographically
         import itertools
 
         rng = np.random.default_rng(8)
@@ -380,10 +356,10 @@ class TestGridInit:
             scored = [
                 (mde_objective(ParamVector.from_flat(flat), q_hat), flat)
                 for flat in itertools.product(grid, repeat=4)
+                if flat[1] - 1.0 + flat[2] >= 0
             ]
             min_val = min(s[0] for s in scored)
-            ties = [s[1] for s in scored if s[0] <= min_val + 1e-14]
-            ties.sort(key=lambda f: (f[1] < 1.0 - f[2], f))
+            ties = sorted(s[1] for s in scored if s[0] <= min_val + 1e-14)
             np.testing.assert_allclose(init.flat, ties[0])
 
     def test_tie_breaks_lexicographically(self):
@@ -407,6 +383,19 @@ class TestGridInit:
         assert (grid_init(q_hat, L, grid).flat.tobytes()
                 == reference_grid_init(q_hat, L, grid).flat.tobytes())
 
+    @given(case=q_hats())
+    @example(case=ON_THE_BRANCH_LINE)
+    @settings(max_examples=80, deadline=None)
+    def test_visited_middle_row_starts_on_the_plus_branch(self, case):
+        # also where the truth lies on the minus branch, at the mirror of a
+        # grid point; an unvisited middle row takes the smallest grid value
+        # here and the plus centre in the fit
+        L, q_hat = case
+        half = L // 2
+        assume(L % 2 == 0 and q_hat.row_mask()[half])
+        lam, eta = middle_row(grid_init(q_hat, L))
+        assert lam - 1.0 + eta >= 0
+
 
 class TestMdeFit:
     def test_exact_recovery_odd_L(self):
@@ -421,14 +410,8 @@ class TestMdeFit:
         res = mde_fit(sum_transition_matrix(theta_star), 2)
         assert res.objective < 1e-10
         assert np.abs(res.theta_hat.flat - theta_star.flat).max() < 1e-4
-        assert res.diagnostics["branch"] == "plus"
         lam_h, eta_h = res.theta_hat.lam[1], res.theta_hat.eta[0]
         assert lam_h - (1 - eta_h) >= -1e-9
-
-    def test_branch_objectives_reported(self):
-        theta_star = ParamVector.from_flat([0.9, 0.7, 0.8, 0.6])
-        res = mde_fit(sum_transition_matrix(theta_star), 2)
-        assert set(res.diagnostics["branch_objectives"]) == {"plus", "minus"}
 
     def test_descent_from_grid(self):
         theta_star = ParamVector(2, [0.93, 0.88], [0.82, 0.9])
@@ -438,22 +421,15 @@ class TestMdeFit:
         assert res.objective <= res.diagnostics["grid_objective"] + 1e-15
 
     @given(case=q_hats())
+    @example(case=ON_THE_BRANCH_LINE)
     @settings(max_examples=40, deadline=None)
     def test_never_worse_than_grid_start(self, case):
         # every row's solve keeps its grid value, scored by the same row
-        # residual as the objective; a forced branch keeps it only when the
-        # grid's middle row lies on that branch
+        # residual as the objective, and the grid scans the middle row on
+        # the branch its solve searches
         L, q_hat = case
-        start = grid_init(q_hat, L)
-        half = L // 2
-        on_branch = {"auto": True, "plus": True, "minus": True}
-        if L % 2 == 0 and q_hat.row_mask()[half]:
-            gap = start.lam[half] - 1.0 + start.eta[half - 1]
-            on_branch.update(plus=gap >= 0, minus=-gap >= 0)
-        for branch, kept in on_branch.items():
-            res = mde_fit(q_hat, L, branch=branch)
-            if kept:
-                assert res.objective <= res.diagnostics["grid_objective"]
+        res = mde_fit(q_hat, L)
+        assert res.objective <= res.diagnostics["grid_objective"]
 
     def test_underdetermined_flagged(self):
         trace = DiscreteTrace(values=np.full(30, 1), ladder=ladder(2))
@@ -478,35 +454,22 @@ class TestMdeFit:
                 med[n] = float(np.median(errs))
             assert med[100_000] < med[1000]
 
-    def test_forced_branch_option(self):
-        theta_star = ParamVector.from_flat([0.99, 0.99, 0.99, 0.99])
-        res = mde_fit(sum_transition_matrix(theta_star), 2, branch="minus")
-        lam_h, eta_h = res.theta_hat.lam[1], res.theta_hat.eta[0]
-        assert lam_h - (1 - eta_h) <= 1e-9
-
-    def test_forced_branch_keeps_a_better_grid_start_off_its_branch(self):
+    def test_keeps_a_grid_start_that_fits_exactly(self):
         # the grid fits the middle row exactly at (0.9, 0.9), on the plus
-        # branch; forced to minus, the fit stays on minus, and on auto the
-        # grid start is kept
+        # branch, and no polished point beats it
         q_hat = sum_transition_matrix(ParamVector(2, [0.5, 0.9], [0.9, 0.5]))
-        minus = mde_fit(q_hat, 2, branch="minus")
-        lam_h, eta_h = middle_row(minus.theta_hat)
-        assert minus.diagnostics["branch"] == "minus"
-        assert lam_h + eta_h - 1.0 <= 0.0
-        assert minus.objective < 1e-10
-        auto = mde_fit(q_hat, 2)
-        assert auto.diagnostics["branch"] == "plus"
-        assert middle_row(auto.theta_hat) == (0.9, 0.9)
-        assert auto.objective <= auto.diagnostics["grid_objective"]
+        res = mde_fit(q_hat, 2)
+        assert middle_row(res.theta_hat) == (0.9, 0.9)
+        assert res.objective <= res.diagnostics["grid_objective"]
 
-    @given(case=q_hats(), branch=st.sampled_from(["auto", "plus", "minus"]))
+    @given(case=q_hats())
     @settings(max_examples=60, deadline=None)
-    def test_matches_flat_vector_fit(self, case, branch):
+    def test_matches_flat_vector_fit(self, case):
         # the per-row records give the bits of the flat vector and of the
         # residuals computed again from theta-hat
         L, q_hat = case
-        res = mde_fit(q_hat, L, branch=branch)
-        theta_hat, objective, diagnostics = reference_mde_fit(q_hat, L, branch)
+        res = mde_fit(q_hat, L)
+        theta_hat, objective, diagnostics = reference_mde_fit(q_hat, L)
         assert res.theta_hat.flat.tobytes() == theta_hat.flat.tobytes()
         assert np.float64(res.objective).tobytes() == np.float64(objective).tobytes()
         assert json.dumps(res.diagnostics) == json.dumps(diagnostics)
@@ -519,66 +482,42 @@ class TestMdeFit:
         for seed in range(6):
             theta = ParamVector(L, rng.uniform(0.98, 0.999, L), rng.uniform(0.98, 0.999, L))
             q_hat = empirical_transition_matrix(simulate_vnd(theta, 1200, seed=seed).sums, L=L)
-            for branch, sign in (("plus", 1.0), ("minus", -1.0)):
-                res = mde_fit(q_hat, L, branch=branch)
-                assert res.objective <= res.diagnostics["grid_objective"]
-                ref = reference_fit(q_hat, L, sign if L % 2 == 0 else None)
-                if L % 2 == 0 and not q_hat.row_mask()[L // 2]:
-                    half = L // 2
-                    ref[half] = ref[L + half - 1] = res.theta_hat.lam[half]
-                assert res.theta_hat.flat.tobytes() == ref.tobytes()
-
-    @pytest.mark.parametrize("L", [2, 4])
-    def test_middle_row_is_scanned_once_for_both_branches(self, L, monkeypatch):
-        half = L // 2
-        scans = []
-
-        def counting(L_, i, lam, eta):
-            if i == half and np.shape(lam)[1] * np.shape(eta)[1] == 61 * 61:
-                scans.append(i)
-            return transition_rows(L_, i, lam, eta)
-
-        monkeypatch.setattr(infer, "transition_rows", counting)
-        rng = np.random.default_rng(L)
-        theta = ParamVector(L, rng.uniform(0.7, 0.99, L), rng.uniform(0.7, 0.99, L))
-        q_hat = empirical_transition_matrix(simulate_vnd(theta, 3000, seed=L).sums, L=L)
-        assert q_hat.row_mask().all()
-        fit = mde_fit(q_hat, L)
-        assert set(fit.diagnostics["branch_objectives"]) == {"plus", "minus"}
-        assert scans == [half]
+            res = mde_fit(q_hat, L)
+            assert res.objective <= res.diagnostics["grid_objective"]
+            ref = reference_fit(q_hat, L)
+            if L % 2 == 0 and not q_hat.row_mask()[L // 2]:
+                half = L // 2
+                ref[half] = ref[L + half - 1] = res.theta_hat.lam[half]
+            assert res.theta_hat.flat.tobytes() == ref.tobytes()
 
     @given(case=q_hats())
     @settings(max_examples=40, deadline=None)
-    def test_middle_row_solves_branches_together_as_apart(self, case):
-        # one scan and one lock-step search for both branches give the bits
-        # of one search per branch, and of the one-start-at-a-time reference
+    def test_middle_row_matches_one_start_at_a_time(self, case):
+        # the lock-step search on the plus branch gives the bits of the
+        # one-start-at-a-time reference
         L, q_hat = case
         half = L // 2
         assume(L % 2 == 0 and q_hat.row_mask()[half])
         row = (L, half, q_hat.entries[half], *_row_params(grid_init(q_hat, L), half))
-        both = _solve_row(*row, [1.0, -1.0])
-        apart = [_solve_row(*row, [sign])[0] for sign in (1.0, -1.0)]
-        assert np.array(both).tobytes() == np.array(apart).tobytes()
-        for sign, solved in zip((1.0, -1.0), both):
-            assert solved[:2] == reference_row_solve(*row, sign)
+        assert _solve_row(*row, plus=True)[:2] == reference_row_solve(*row, True)
 
     @pytest.mark.parametrize("L", [2, 4])
     def test_branches_differ_only_in_middle_row(self, L):
+        # the minus branch holds the mirror (lam, eta) -> (1 - eta, 1 - lam)
+        # of the plus fit's middle row, at the same residual, and nothing
+        # else moves
         rng = np.random.default_rng(L)
         theta = ParamVector(L, rng.uniform(0.7, 0.99, L), rng.uniform(0.7, 0.99, L))
         q_hat = empirical_transition_matrix(simulate_vnd(theta, 3000, seed=L).sums, L=L)
-        fits = {b: mde_fit(q_hat, L, branch=b) for b in ("plus", "minus")}
+        fit = mde_fit(q_hat, L)
         half = L // 2
-        outside = np.ones(2 * L, dtype=bool)
-        outside[[half, L + half - 1]] = False
-        assert (fits["plus"].theta_hat.flat[outside].tobytes()
-                == fits["minus"].theta_hat.flat[outside].tobytes())
-        both = mde_fit(q_hat, L).diagnostics["branch_objectives"]
-        r_plus = fits["plus"].diagnostics["row_residuals"]
-        r_minus = fits["minus"].diagnostics["row_residuals"]
-        assert r_plus[:half] + r_plus[half + 1:] == r_minus[:half] + r_minus[half + 1:]
-        assert both["plus"] - both["minus"] == pytest.approx(r_plus[half] - r_minus[half],
-                                                             abs=1e-15)
+        lam, eta = fit.theta_hat.lam.copy(), fit.theta_hat.eta.copy()
+        assert lam[half] + eta[half - 1] - 1.0 > 0
+        lam[half], eta[half - 1] = 1.0 - eta[half - 1], 1.0 - lam[half]
+        mirror = _row_residuals(ParamVector(L, lam, eta), q_hat)
+        r_plus = fit.diagnostics["row_residuals"]
+        assert list(mirror[:half]) + list(mirror[half + 1:]) == r_plus[:half] + r_plus[half + 1:]
+        assert mirror[half] == pytest.approx(r_plus[half], abs=1e-15)
 
     def test_row_residuals(self):
         theta = ParamVector(3, [0.95, 0.9, 0.85], [0.8, 0.9, 0.97])
@@ -598,15 +537,12 @@ class TestMdeFit:
             assert residuals[k] == mde_objective(res.theta_hat,
                                                  TransitionMatrix(only_k, row_counts=counts))
 
-    @pytest.mark.parametrize("branch, centre", [("plus", (5 + np.sqrt(5)) / 10),
-                                                ("minus", (5 - np.sqrt(5)) / 10),
-                                                ("auto", (5 + np.sqrt(5)) / 10)])
-    def test_masked_middle_row_takes_branch_centre(self, branch, centre):
+    def test_masked_middle_row_takes_plus_centre(self):
         # the trace steps between 0 and 2 channels open and never visits 1
         values = np.array([0, 0, 2, 2, 2, 0, 2, 0, 0, 0, 2, 2, 0] * 20)
-        res = mde_fit(empirical_transition_matrix(values, L=2), 2, branch=branch)
+        res = mde_fit(empirical_transition_matrix(values, L=2), 2)
         assert res.diagnostics["masked_rows"] == [1]
-        assert res.diagnostics["branch"] == ("minus" if branch == "minus" else "plus")
+        centre = (5 + np.sqrt(5)) / 10
         assert middle_row(res.theta_hat) == (centre, centre)
 
     def test_other_masked_rows_keep_grid_value(self):
@@ -634,7 +570,7 @@ class TestMdeFit:
         expected = theta.flat
         if L % 2 == 0 and lam[L // 2] + eta[L // 2 - 1] < 1.0:
             # the minus-branch truth has an observationally equivalent plus
-            # mirror, (lam, eta) -> (1 - eta, 1 - lam), which the tie selects
+            # mirror, (lam, eta) -> (1 - eta, 1 - lam), which the fit finds
             half = L // 2
             expected[half], expected[L + half - 1] = 1.0 - eta[half - 1], 1.0 - lam[half]
         assert res.objective < 1e-10

@@ -483,6 +483,22 @@ class TestCli:
                 assert message in result.output
                 assert not out.exists()
 
+    def test_removed_branch_option_exit_code(self, runner, tmp_path):
+        # the middle row of an even L is fitted on the plus branch alone, so
+        # --branch, or a branch key in a config file, is invalid configuration
+        src = self._staged_inputs(tmp_path)["infer"]
+        done = runner.invoke(main, ["infer", "--input", str(src), "--out", str(tmp_path / "ok")])
+        assert done.exit_code == 0, done.output
+        cfg = tmp_path / "cfg.json"
+        cio.dump_json({"branch": "plus"}, cfg)
+        for extra, message in ((["--branch", "plus"], "--branch"),
+                               (["--config", str(cfg)], "branch")):
+            out = tmp_path / extra[0]
+            result = runner.invoke(main, ["infer", "--input", str(src), *extra, "--out", str(out)])
+            assert result.exit_code == 2, extra
+            assert message in result.output
+            assert not out.exists()
+
     @pytest.mark.parametrize("edit", ["theta", "truncate", "step_breaks"])
     def test_bad_sidecar_truth_exit_code(self, runner, tmp_path, edit):
         # an impossible truth theta, a CSV cut short of the sidecar's
@@ -538,6 +554,12 @@ class TestCli:
         assert result.exit_code == 2
         result = runner.invoke(main, ["simulate", "--out", str(tmp_path)])
         assert result.exit_code == 2
+        # an empty entry is unparsable, not dropped: "0.9,,0.9" is not one channel
+        result = runner.invoke(main, ["simulate", "--theta", "0.9,,0.9", "--n", "100",
+                                      "--out", str(tmp_path / "empty")])
+        assert result.exit_code == 2
+        assert "cannot parse --theta" in result.output
+        assert not (tmp_path / "empty" / "recording.csv").exists()
 
     def test_missing_input_exit_code(self, runner, tmp_path):
         result = runner.invoke(main, [
@@ -548,13 +570,13 @@ class TestCli:
     def test_failed_run_keeps_its_snapshot(self, runner, tmp_path):
         out = tmp_path / "out"
         result = runner.invoke(main, [
-            "infer", "--input", str(tmp_path / "nope.csv"), "--branch", "plus",
+            "infer", "--input", str(tmp_path / "nope.csv"), "--tolerance", "0.01",
             "--out", str(out),
         ])
         assert result.exit_code == 3
         snapshot = json.loads((out / "run_config.json").read_text())
         assert snapshot == {"command": "infer", "input_path": str(tmp_path / "nope.csv"),
-                            "branch": "plus", "out": str(out)}
+                            "tolerance": 0.01, "out": str(out)}
 
     @pytest.mark.parametrize("command", ["pipeline", "idealise"])
     def test_sidecar_without_kernel_exit_code(self, runner, tmp_path, command):
@@ -630,11 +652,13 @@ class TestCli:
 
     def test_late_stage_failure_keeps_plots(self, runner, tmp_path):
         # the plots need only the idealisation, so they are drawn with it and
-        # survive a failure of the verdict stage
-        sidecar_recording(tmp_path / "rec.csv")
+        # survive a failure of the fit stage: a one-sample recording has no
+        # transition to count
+        src = tmp_path / "one.csv"
+        src.write_text("1.000000000,0.5\n")
         out = tmp_path / "out"
-        result = runner.invoke(main, ["pipeline", "--input", str(tmp_path / "rec.csv"),
-                                      "--plots", "--tolerance", "-1", "--out", str(out)])
+        result = runner.invoke(main, ["pipeline", "--input", str(src), "--rate", "1",
+                                      "--plots", "--out", str(out)])
         assert result.exit_code == 4
         assert sorted(p.name for p in out.iterdir()) == [
             "discrete.csv", "discrete.meta.json", "idealisation.csv", "idealisation.meta.json",
@@ -776,13 +800,28 @@ class TestCli:
         (["simulate", "--theta", "0.9,0.9", "--n", "0"], "--n"),
         (["simulate", "--theta", "0.9,0.9", "--bessel-order", "0"], "--bessel-order"),
         (["dwell", "--state", "-1"], "--state"),
+        (["idealise", "--alpha", "0"], "--alpha"),
+        (["idealise", "--alpha", "1.5"], "--alpha"),
+        (["idealise", "--alpha", "nan"], "--alpha"),
+        (["pipeline", "--alpha", "1"], "--alpha"),
+        (["pipeline", "--alpha", "nan"], "--alpha"),
+        (["infer", "--tolerance", "0"], "--tolerance"),
+        (["infer", "--tolerance", "nan"], "--tolerance"),
+        (["pipeline", "--tolerance", "-1"], "--tolerance"),
+        (["pipeline", "--tolerance", "nan"], "--tolerance"),
     ], ids=["pipeline-L", "pipeline-max-L", "pipeline-L-sweep", "discretise-L",
-            "discretise-max-L", "simulate-n", "simulate-bessel-order", "dwell-state"])
+            "discretise-max-L", "simulate-n", "simulate-bessel-order", "dwell-state",
+            "idealise-alpha-0", "idealise-alpha-1.5", "idealise-alpha-nan", "pipeline-alpha-1",
+            "pipeline-alpha-nan", "infer-tolerance-0", "infer-tolerance-nan",
+            "pipeline-tolerance-neg", "pipeline-tolerance-nan"])
     def test_integer_below_its_floor_exit_code(self, runner, tmp_path, command, flag):
-        if command[0] == "pipeline":
+        # an option value outside its range, integer floors and the (0, 1)
+        # of --alpha and the positive --tolerance alike, exits 2 after the
+        # snapshot and before any stage
+        if command[0] in ("pipeline", "idealise"):
             sidecar_recording(tmp_path / "rec.csv")
             command = [*command, "--input", str(tmp_path / "rec.csv")]
-        elif command[0] in ("discretise", "dwell"):
+        elif command[0] in ("discretise", "dwell", "infer"):
             command = [*command, "--input", str(self._staged_inputs(tmp_path)[command[0]])]
         out = tmp_path / "out"
         result = runner.invoke(main, [*command, "--out", str(out)])
@@ -867,7 +906,7 @@ class TestCli:
              "--kernel", "bspline2", "--seed", "1", "--out", "sim"],
             ["idealise", "--input", "sim/recording.csv", "--plots", "--out", "ideal"],
             ["discretise", "--input", "ideal/idealisation.csv", "--out", "disc"],
-            ["infer", "--input", "disc/discrete.csv", "--branch", "minus", "--out", "infer"],
+            ["infer", "--input", "disc/discrete.csv", "--out", "infer"],
             ["pipeline", "--input", "sim/recording.csv", "--L-sweep", "2:3", "--out", "sweep"],
             ["markov-test", "--input", "chain/discrete.csv", "--out", "markov"],
             ["dwell", "--input", "chain/discrete.csv", "--plots", "--out", "dwell"],

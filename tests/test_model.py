@@ -16,6 +16,7 @@ from coopchan.model import (
     simulate_vnd,
     sum_transition_matrix,
     sum_transition_matrix_bruteforce,
+    transition_rows,
 )
 from coopchan.studies import l20_scenario
 
@@ -371,6 +372,19 @@ class TestIdentifiability:
     def test_equality_reports_plus(self):
         theta = ParamVector(2, [0.5, 0.4], [0.6, 0.5])
         assert is_identifiable(theta) is Identifiability.BRANCH_PLUS
+
+    @given(half=st.integers(min_value=1, max_value=10),
+           lam=st.floats(min_value=0.0, max_value=1.0),
+           eta=st.floats(min_value=0.0, max_value=1.0))
+    @settings(max_examples=200, deadline=None)
+    def test_middle_row_is_mirror_symmetric(self, half, lam, eta):
+        # row L/2 of an even L is Bin(L/2, eta) + Bin(L/2, 1 - lam), a law
+        # that (lam, eta) -> (1 - eta, 1 - lam) leaves unchanged: the two
+        # branches are exact mirrors, and the fit searches only plus
+        L = 2 * half
+        row = transition_rows(L, half, [[lam]], [[eta]])
+        mirror = transition_rows(L, half, [[1.0 - eta]], [[1.0 - lam]])
+        np.testing.assert_allclose(row, mirror, rtol=0, atol=1e-15)
 
 
 class TestTransitionMatrixType:
