@@ -537,12 +537,18 @@ class TestMdeFit:
             assert residuals[k] == mde_objective(res.theta_hat,
                                                  TransitionMatrix(only_k, row_counts=counts))
 
-    def test_masked_middle_row_takes_plus_centre(self):
-        # the trace steps between 0 and 2 channels open and never visits 1
+    @pytest.mark.parametrize("branch, centre", [("plus", (5 + np.sqrt(5)) / 10),
+                                                ("auto", (5 + np.sqrt(5)) / 10)])
+    def test_masked_middle_row_takes_branch_centre(self, branch, centre):
+        # the trace steps between 0 and 2 channels open and never visits 1;
+        # the fit takes no branch request, and puts the middle row at the
+        # plus branch's centre
         values = np.array([0, 0, 2, 2, 2, 0, 2, 0, 0, 0, 2, 2, 0] * 20)
-        res = mde_fit(empirical_transition_matrix(values, L=2), 2)
+        q_hat = empirical_transition_matrix(values, L=2)
+        with pytest.raises(TypeError):
+            mde_fit(q_hat, 2, branch=branch)
+        res = mde_fit(q_hat, 2)
         assert res.diagnostics["masked_rows"] == [1]
-        centre = (5 + np.sqrt(5)) / 10
         assert middle_row(res.theta_hat) == (centre, centre)
 
     def test_other_masked_rows_keep_grid_value(self):
