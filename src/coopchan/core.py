@@ -1,4 +1,5 @@
-"""Shared signal types: step functions, level ladders, discrete traces.
+"""Shared signal types: step functions, level ladders, discrete traces, and
+the checked weighted levels a ladder is fitted to.
 
 Sampling convention used throughout the package: a recording of n samples
 lives on the grid t_k = k / sample_rate for k = 1..n, so t_n = t_max.  A
@@ -96,6 +97,25 @@ class LevelLadder:
         t = (np.asarray(x, dtype=float) - self.offset) / self.spacing
         idx = np.ceil(t - 0.5).astype(np.int64)
         return np.clip(idx, 0, self.L)
+
+
+def checked_levels(levels, weights=None) -> tuple[np.ndarray, np.ndarray]:
+    """Levels and their weights (uniform by default) as float arrays, after
+    checking that there is a level, that every level and weight is finite,
+    and that the weights match the levels, are nonnegative and have a
+    positive total."""
+    levels = np.asarray(levels, dtype=float)
+    if levels.size == 0:
+        raise ValueError("need at least one level")
+    weights = np.ones_like(levels) if weights is None else np.asarray(weights, dtype=float)
+    for name, values in (("levels", levels), ("weights", weights)):
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            raise ValueError(f"{name} must be finite: {bad.size} of {values.size} are not, "
+                             f"the first {values.flat[bad[0]]} at index {bad[0]}")
+    if weights.shape != levels.shape or (weights < 0).any() or weights.sum() <= 0:
+        raise ValueError("weights must be nonnegative with positive total")
+    return levels, weights
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import DiscreteTrace, LevelLadder
+from .core import DiscreteTrace, LevelLadder, checked_levels
 from .idealise import Idealisation
 
 
@@ -100,39 +100,33 @@ def _weighted_ls(levels, weights, idx):
     return offset, spacing
 
 
-def _sse(levels, weights, L, offset, spacing):
-    idx = LevelLadder(L, offset, spacing).nearest_rung(levels)
-    resid = levels - (offset + spacing * idx)
-    return float((weights * resid * resid).sum()), idx
+def _sse(levels, weights, L, offsets, spacings):
+    """Weighted SSE and nearest-rung assignment of paired (offset, spacing)
+    candidates: returns (sse, idx), shaped (C,) and (C, n), idx as floats.
+    A candidate gets the same bits alone as in a batch, so the grid scan and
+    the polish compare SSEs exactly."""
+    t = (levels[None, :] - offsets[:, None]) / spacings[:, None]
+    idx = np.clip(np.ceil(t - 0.5), 0, L)
+    resid = levels[None, :] - (offsets[:, None] + spacings[:, None] * idx)
+    return (weights[None, :] * resid * resid).sum(axis=1), idx
 
 
-def _polish(levels, weights, L, offset, spacing, max_iter=60):
-    best_sse, idx = _sse(levels, weights, L, offset, spacing)
-    best = (offset, spacing)
-    for _ in range(max_iter):
+def _trajectory(levels, weights, L, idx):
+    """The (sse, (offset, spacing)) fits that alternating weighted least
+    squares and nearest-rung assignment visit from the rung assignment idx,
+    for at most 60 rounds, until the assignment repeats, the system turns
+    singular or the spacing is not positive."""
+    steps = []
+    for _ in range(60):
         fit = _weighted_ls(levels, weights, idx)
         if fit is None or fit[1] <= 0:
             break
-        sse, new_idx = _sse(levels, weights, L, *fit)
-        if sse < best_sse - 1e-15:
-            best_sse, best = sse, fit
-        if np.array_equal(new_idx, idx):
+        sse, new_idx = _sse(levels, weights, L, np.array([fit[0]]), np.array([fit[1]]))
+        steps.append((float(sse[0]), fit))
+        if np.array_equal(new_idx[0], idx):
             break
-        idx = new_idx
-    return best_sse, best
-
-
-def grid_sse(levels, weights, L, offsets, spacings):
-    """Vectorized nearest-rung SSE over an (offset, spacing) candidate grid:
-    returns each candidate's (sse, offset, spacing) as arrays, in C order."""
-    levels = np.asarray(levels, float)
-    weights = np.asarray(weights, float)
-    off = np.repeat(offsets, len(spacings))
-    spc = np.tile(spacings, len(offsets))
-    t = (levels[None, :] - off[:, None]) / spc[:, None]
-    idx = np.clip(np.ceil(t - 0.5), 0, L)
-    resid = levels[None, :] - (off[:, None] + spc[:, None] * idx)
-    return (weights[None, :] * resid * resid).sum(axis=1), off, spc
+        idx = new_idx[0]
+    return steps
 
 
 def equal_spacing_cluster(levels, weights=None, L: int = 1) -> LevelLadder:
@@ -142,16 +136,14 @@ def equal_spacing_cluster(levels, weights=None, L: int = 1) -> LevelLadder:
     A candidate grid of (offset, spacing) pairs built from the data range
     (hence affine equivariant) is scanned, and the 20 best candidates are
     polished by alternating nearest-rung assignment and weighted least
-    squares; the lowest polished SSE wins.
+    squares; the lowest polished SSE wins.  After a candidate's own
+    assignment, its polish depends on that assignment alone, and the best
+    candidates mostly share one: each assignment is polished once, and its
+    fits are replayed against every candidate that starts from it.
     """
-    levels = np.asarray(levels, dtype=float)
-    if levels.size == 0:
-        raise ValueError("need at least one level")
+    levels, weights = checked_levels(levels, weights)
     if L < 1:
         raise ValueError("L must be >= 1")
-    weights = np.ones_like(levels) if weights is None else np.asarray(weights, dtype=float)
-    if weights.shape != levels.shape or (weights < 0).any() or weights.sum() <= 0:
-        raise ValueError("weights must be nonnegative with positive total")
     lo, hi = float(levels.min()), float(levels.max())
     span = hi - lo
     if span <= 0:
@@ -163,11 +155,22 @@ def equal_spacing_cluster(levels, weights=None, L: int = 1) -> LevelLadder:
     spacing_cands = np.concatenate([spacing_cands, gaps[gaps > 0]])
     offset_cands = lo + span * np.linspace(-0.25, 0.35, 25)
 
-    sse, off, spc = grid_sse(levels, weights, L, offset_cands, spacing_cands)
-    order = np.argsort(sse, kind="stable")[:20]
+    off = np.repeat(offset_cands, len(spacing_cands))
+    spc = np.tile(spacing_cands, len(offset_cands))
+    sse, idx = _sse(levels, weights, L, off, spc)
+    trajectories = {}
     best_sse, best = np.inf, None
-    for k in order:
-        polished_sse, fit = _polish(levels, weights, L, float(off[k]), float(spc[k]))
+    for k in np.argsort(sse, kind="stable")[:20]:
+        # keyed as integers: rung 0 comes out of the float rounding as 0.0
+        # or -0.0, which assign alike
+        key = idx[k].astype(np.int64).tobytes()
+        if key not in trajectories:
+            trajectories[key] = _trajectory(levels, weights, L, idx[k])
+        polished_sse, fit = sse[k], (off[k], spc[k])
+        # a later fit replaces an earlier one only by a strict improvement
+        for sse_k, fit_k in trajectories[key]:
+            if sse_k < polished_sse - 1e-15:
+                polished_sse, fit = sse_k, fit_k
         if polished_sse < best_sse - 1e-15:
             best_sse, best = polished_sse, fit
     offset, spacing = best

@@ -21,6 +21,7 @@ from .model import (
     TransitionMatrix,
     classify_cooperativity,
     _row_params,
+    sum_leading,
     transition_rows,
 )
 
@@ -121,8 +122,11 @@ def _residuals(L: int, i: int, target: np.ndarray, lam: np.ndarray, eta: np.ndar
 
     The objective, the grid start and the row solves all score rows here, and
     a candidate scores the same bits alone as inside a block, so their values
-    compare exactly."""
-    vals = ((transition_rows(L, i, lam, eta) - target) ** 2).sum(axis=-1)
+    compare exactly.  The squared deviations come entry-first from
+    ``transition_rows`` and are summed by ``sum_leading``, which gives the
+    bits of summing them along a contiguous last axis."""
+    rows = transition_rows(L, i, lam, eta)
+    vals = sum_leading((rows - target[:, None, None, None]) ** 2)
     if not plus:
         return vals
     return np.where(lam[:, :, None] - 1.0 + eta[:, None, :] >= 0, vals, np.inf)
@@ -145,10 +149,11 @@ def _shrink(L: int, i: int, target: np.ndarray, lam: np.ndarray, eta: np.ndarray
     active = np.arange(len(lam))
     while active.size:
         w = width[active, None]
-        lam_c = np.clip(lam[active, None] + w * _OFFSETS, 1e-9, 1 - 1e-9) if i < L \
-            else lam[active, None]
-        eta_c = np.clip(eta[active, None] + w * _OFFSETS, 1e-9, 1 - 1e-9) if i >= 1 \
-            else eta[active, None]
+        # clipped to [1e-9, 1 - 1e-9]: np.clip's bits, without its call overhead
+        lam_c = np.minimum(np.maximum(lam[active, None] + w * _OFFSETS, 1e-9), 1 - 1e-9) \
+            if i < L else lam[active, None]
+        eta_c = np.minimum(np.maximum(eta[active, None] + w * _OFFSETS, 1e-9), 1 - 1e-9) \
+            if i >= 1 else eta[active, None]
         vals = _residuals(L, i, target, lam_c, eta_c, plus).reshape(active.size, -1)
         k = vals.argmin(axis=1)
         rows = np.arange(active.size)

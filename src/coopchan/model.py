@@ -181,34 +181,80 @@ def _row_params(theta: ParamVector, i: int) -> tuple[float, float]:
 
 @lru_cache(maxsize=64)
 def _row_tables(L: int, i: int):
-    """Coefficients and exponents of row i: entry (j, r) covers the split
-    where r of the i open channels close and j-i+r of the L-i closed ones
-    open.  Invalid splits carry a zero coefficient (their exponents are
-    clipped so 0**negative never occurs)."""
-    j = np.arange(L + 1)[:, None]
-    r = np.arange(i + 1)[None, :]
-    jr = j - i + r
-    coeff = np.array([[comb(i, rr) * comb(L - i, int(v)) if 0 <= v <= L - i else 0
-                       for rr, v in enumerate(row_jr)] for row_jr in jr], dtype=float)
-    e_eta = np.broadcast_to(i - r, jr.shape).copy()
-    e_eta_c = np.broadcast_to(r, jr.shape).copy()
-    e_lam = np.clip(L - j - r, 0, None)
-    e_lam_c = np.clip(jr, 0, None)
-    return coeff, e_eta, e_eta_c, e_lam, e_lam_c
+    """Coefficients and exponents of the splits of row i, shaped
+    (i+1, L-i+1, 1, 1, 1) to broadcast against a block of axes: split
+    (r, m), where r of the i open channels close and m of the L-i closed
+    ones open, leads to entry j = i - r + m.  The eta exponents depend on r
+    alone and the lam exponents on m alone, so each keeps a unit axis for
+    the other."""
+    r = np.arange(i + 1)[:, None]
+    m = np.arange(L - i + 1)[None, :]
+    coeff = np.array([[comb(i, rr) * comb(L - i, mm) for mm in range(L - i + 1)]
+                      for rr in range(i + 1)], dtype=float)
+    return tuple(np.ascontiguousarray(t)[:, :, None, None, None]
+                 for t in (coeff, i - r, r, L - i - m, m))
+
+
+def sum_leading(x: np.ndarray) -> np.ndarray:
+    """Sum over axis 0 by whole-array adds, in the order numpy's add.reduce
+    sums a contiguous last axis: one term after another below 8 terms, eight
+    running sums combined pairwise from 8 to 128 terms, halves beyond.  The
+    result has the bits of ``.sum(axis=-1)`` over a C-contiguous copy with
+    axis 0 moved last (up to the sign of a zero sum, which nonnegative terms
+    never make), at a fraction of the cost when the summed axis is short and
+    the others are not."""
+    n = len(x)
+    if n < 8:
+        return sum(x[1:], x[0])
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return sum_leading(x[:half]) + sum_leading(x[half:])
+    whole = n - n % 8
+    acc = sum(x[8:whole].reshape(-1, 8, *x.shape[1:]), x[:8])
+    acc = acc[0::2] + acc[1::2]
+    acc = acc[0::2] + acc[1::2]
+    return sum(x[whole:], acc[0] + acc[1])
+
+
+def _sum_splits(terms: np.ndarray, i: int, L: int) -> np.ndarray:
+    """Entries 0..L of row i from its split terms (i+1, L-i+1, ...), split
+    (r, m) leading to entry i - r + m: each entry's terms summed over r in
+    the order of ``sum_leading`` over an (i+1, L+1, ...) layout that holds a
+    zero wherever r has no split into the entry.  Adding a zero leaves every
+    partial sum as it is, so each split is added into its own entries
+    alone."""
+    n, width = terms.shape[:2]
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _sum_splits(terms[:half], i, L) + _sum_splits(terms[half:], i - half, L)
+
+    def added(splits, acc):
+        for r in splits:
+            acc[i - r:i - r + width] += terms[r]
+        return acc
+
+    shape = (L + 1, *terms.shape[2:])
+    if n < 8:
+        return added(range(n), np.zeros(shape))
+    whole = n - n % 8
+    a = [added(range(k, whole, 8), np.zeros(shape)) for k in range(8)]
+    paired = ((a[0] + a[1]) + (a[2] + a[3])) + ((a[4] + a[5]) + (a[6] + a[7]))
+    return added(range(whole, n), paired)
 
 
 def transition_rows(L: int, i: int, lam, eta) -> np.ndarray:
     """Row i of the sum-process transition matrix, which depends only on
     (lam_i, eta_i), at every pair of a lam axis (S, A) and an eta axis (S, B)
-    per block: returns (S, A, B, L+1).  The powers are taken once per axis
-    value and multiplied in the order of a single pair, so a pair gets the
-    same bits in any block."""
+    per block: returns (L+1, S, A, B), the entry axis first.  Each split's
+    term is the product of a single pair's powers in a fixed order, and the
+    splits are summed by ``_sum_splits``; so a pair gets the same bits in
+    any block, and each entry those of summing its (i+1) split terms, zeros
+    for splits that cannot reach it, along a contiguous last axis."""
     coeff, e_eta, e_eta_c, e_lam, e_lam_c = _row_tables(L, i)
-    lam = np.asarray(lam, dtype=float)[:, :, None, None, None]
-    eta = np.asarray(eta, dtype=float)[:, None, :, None, None]
+    lam = np.asarray(lam, dtype=float)[:, :, None]
+    eta = np.asarray(eta, dtype=float)[:, None, :]
     eta_terms = coeff * eta ** e_eta * (1.0 - eta) ** e_eta_c
-    terms = eta_terms * lam ** e_lam * (1.0 - lam) ** e_lam_c
-    return terms.sum(axis=-1)
+    return _sum_splits(eta_terms * lam ** e_lam * (1.0 - lam) ** e_lam_c, i, L)
 
 
 def sum_transition_matrix(theta: ParamVector) -> TransitionMatrix:
@@ -217,7 +263,7 @@ def sum_transition_matrix(theta: ParamVector) -> TransitionMatrix:
     q = np.empty((L + 1, L + 1))
     for i in range(L + 1):
         li, ei = _row_params(theta, i)
-        q[i] = transition_rows(L, i, [[li]], [[ei]])[0, 0, 0]
+        q[i] = transition_rows(L, i, [[li]], [[ei]])[:, 0, 0, 0]
     return TransitionMatrix(q)
 
 

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import DiscreteTrace, LevelLadder
+from .core import DiscreteTrace, LevelLadder, checked_levels
 from .discretise import discretise_trace, equal_spacing_cluster
 from .idealise import Idealisation, muscle_fit
 from .infer import MdeResult, cooperativity_report, empirical_transition_matrix, mde_fit
@@ -58,7 +58,11 @@ def fit_ladder(levels, weights, L: int | None = None, max_L: int = 20) -> LevelL
     (RMS), the first longer ladder that leaves an end rung empty ends the
     search: more rungs could only pad the ends or halve the spacing.  A
     single distinct level cannot anchor a spacing; it becomes rung 0 of a
-    ladder spaced at the data scale."""
+    ladder spaced at the data scale.  Levels and weights are checked as
+    ``checked_levels`` does, and max_L must be at least 1."""
+    if max_L < 1:
+        raise ValueError("max_L must be >= 1")
+    levels, weights = checked_levels(levels, weights)
     if len(np.unique(levels)) == 1:
         scale = max(abs(float(levels[0])), 1.0)
         return LevelLadder(L=1 if L is None else int(L), offset=float(levels[0]), spacing=scale)

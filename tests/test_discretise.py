@@ -1,8 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coopchan.core import DiscreteTrace, LevelLadder, StepFunction
-from coopchan.discretise import discretise_trace, equal_spacing_cluster, level_groups
+from coopchan.discretise import (
+    _weighted_ls,
+    discretise_trace,
+    equal_spacing_cluster,
+    level_groups,
+)
 from coopchan.idealise import Idealisation, muscle_fit
 from coopchan.infer import empirical_transition_matrix, mde_fit
 from coopchan.model import ParamVector, classify_cooperativity, simulate_vnd
@@ -11,22 +18,75 @@ from coopchan.studies import _channel_count_rep, l20_scenario, rep_seed
 from coopchan.synth import NoiseSpec, make_kernel, synthesize_recording
 
 
+def reference_grid(levels, weights, L, offsets, spacings):
+    """Nearest-rung SSE of every (offset, spacing) pair of the grid, in C
+    order: returns (sse, offset, spacing) as arrays."""
+    off = np.repeat(offsets, len(spacings))
+    spc = np.tile(spacings, len(offsets))
+    idx = np.clip(np.ceil((levels[None, :] - off[:, None]) / spc[:, None] - 0.5), 0, L)
+    resid = levels[None, :] - (off[:, None] + spc[:, None] * idx)
+    return (weights[None, :] * resid * resid).sum(axis=1), off, spc
+
+
+def reference_sse(levels, weights, L, offset, spacing):
+    idx = LevelLadder(L, offset, spacing).nearest_rung(levels)
+    resid = levels - (offset + spacing * idx)
+    return float((weights * resid * resid).sum()), idx
+
+
+def reference_polish(levels, weights, L, offset, spacing, max_iter=60):
+    """One candidate polished by alternating nearest-rung assignment and
+    weighted least squares, keeping the best SSE seen by strict improvement."""
+    best_sse, idx = reference_sse(levels, weights, L, offset, spacing)
+    best = (offset, spacing)
+    for _ in range(max_iter):
+        fit = _weighted_ls(levels, weights, idx)
+        if fit is None or fit[1] <= 0:
+            break
+        sse, new_idx = reference_sse(levels, weights, L, *fit)
+        if sse < best_sse - 1e-15:
+            best_sse, best = sse, fit
+        if np.array_equal(new_idx, idx):
+            break
+        idx = new_idx
+    return best_sse, best
+
+
+def reference_cluster(levels, weights, L):
+    """equal_spacing_cluster with each of its 20 best grid candidates
+    polished on its own: the reference the shared polish must reproduce bit
+    for bit."""
+    levels = np.asarray(levels, dtype=float)
+    weights = np.asarray(weights, dtype=float)
+    lo, hi = float(levels.min()), float(levels.max())
+    span = hi - lo
+    centroids = np.sort([float(np.mean(g)) for g in level_groups(levels)])
+    gaps = np.diff(centroids)
+    spacings = np.concatenate([span / L * np.linspace(0.15, 1.25, 23), gaps[gaps > 0]])
+    offsets = lo + span * np.linspace(-0.25, 0.35, 25)
+    sse, off, spc = reference_grid(levels, weights, L, offsets, spacings)
+    best_sse, best = np.inf, None
+    for k in np.argsort(sse, kind="stable")[:20]:
+        polished_sse, fit = reference_polish(levels, weights, L, float(off[k]), float(spc[k]))
+        if polished_sse < best_sse - 1e-15:
+            best_sse, best = polished_sse, fit
+    return LevelLadder(L=L, offset=float(best[0]), spacing=float(best[1]), sse=float(best_sse))
+
+
 def grid_search_oracle(levels, weights, L, n_grid=160):
     """Dense (offset, spacing) scan over wider ranges than production uses,
     with the top cells polished to their local optimum, as an independent
     optimum check."""
-    from coopchan.discretise import _polish, grid_sse
-
     levels = np.asarray(levels, float)
     weights = np.asarray(weights, float)
     lo, hi = levels.min(), levels.max()
     span = hi - lo
     spacings = span / L * np.linspace(0.05, 1.4, n_grid)
     offsets = lo + span * np.linspace(-0.3, 0.4, n_grid)
-    sse, off, spc = grid_sse(levels, weights, L, offsets, spacings)
+    sse, off, spc = reference_grid(levels, weights, L, offsets, spacings)
     best = (np.inf, None)
     for k in np.argsort(sse, kind="stable")[:12]:
-        polished, fit = _polish(levels, weights, L, float(off[k]), float(spc[k]), max_iter=60)
+        polished, fit = reference_polish(levels, weights, L, float(off[k]), float(spc[k]))
         if polished < best[0] - 1e-15:
             best = (polished, fit)
     return best
@@ -158,6 +218,51 @@ class TestEqualSpacingCluster:
         for alt in range(4):
             alt_cost = weights * (levels - rungs[alt]) ** 2
             assert (base_cost <= alt_cost + 1e-12).all()
+
+    @given(data=st.data(), L=st.integers(min_value=1, max_value=20),
+           kind=st.sampled_from(["random", "tied", "ladder"]))
+    @settings(max_examples=120, deadline=None)
+    def test_matches_the_per_candidate_polish(self, data, L, kind):
+        n = data.draw(st.integers(min_value=2, max_value=40))
+        value = st.floats(min_value=-5.0, max_value=5.0)
+        if kind == "random":
+            levels = data.draw(st.lists(value, min_size=n, max_size=n))
+        elif kind == "tied":
+            pool = data.draw(st.lists(value, min_size=2, max_size=4, unique=True))
+            levels = data.draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+        else:
+            S = data.draw(st.integers(min_value=1, max_value=L))
+            rungs = data.draw(st.lists(st.integers(min_value=0, max_value=S),
+                                       min_size=n, max_size=n))
+            jitter = data.draw(st.lists(st.floats(min_value=-0.05, max_value=0.05),
+                                        min_size=n, max_size=n))
+            levels = data.draw(value) + data.draw(st.floats(min_value=0.1, max_value=3.0)) \
+                * np.array(rungs) + np.array(jitter)
+        levels = np.asarray(levels, dtype=float)
+        if np.unique(levels).size < 2:
+            levels[0] += 1.0
+        weights = np.array(data.draw(st.lists(st.floats(min_value=0.1, max_value=10.0),
+                                              min_size=n, max_size=n)))
+        ladder = equal_spacing_cluster(levels, weights, L=L)
+        expected = reference_cluster(levels, weights, L)
+        assert (ladder.L, ladder.offset, ladder.spacing, ladder.sse) == \
+            (expected.L, expected.offset, expected.spacing, expected.sse)
+
+    @pytest.mark.parametrize("fit", ["cluster", "fit_ladder"])
+    @pytest.mark.parametrize("bad, name", [(np.nan, "levels"), (np.inf, "levels"),
+                                           (-np.inf, "levels"), (np.nan, "weights"),
+                                           (np.inf, "weights")])
+    def test_non_finite_input(self, fit, bad, name):
+        # a NaN level used to raise "spacing must be positive" and an inf
+        # level a TypeError; both now name the argument at entry
+        levels, weights = np.array([0.0, 1.0, 2.0]), np.ones(3)
+        (levels if name == "levels" else weights)[1] = bad
+        with pytest.raises(ValueError, match=f"{name} must be finite: 1 of 3 are not, "
+                                             f"the first {bad} at index 1"):
+            if fit == "cluster":
+                equal_spacing_cluster(levels, weights, L=2)
+            else:
+                fit_ladder(levels, weights)
 
     def test_degenerate_inputs(self):
         with pytest.raises(ValueError, match="need at least two distinct levels"):
@@ -302,6 +407,12 @@ class TestFitLadder:
         ladder = fit_ladder(levels, durations, max_L=5)
         assert ladder.L <= 5
         assert discretise_idealisation(ideal, max_L=5).ladder == ladder
+
+    def test_max_L_below_one(self):
+        # max_L = 0 used to return an L = 1 ladder, above its cap
+        for max_L in (0, -1):
+            with pytest.raises(ValueError, match="max_L must be >= 1"):
+                fit_ladder(np.array([0.0, 1.0, 2.0]), np.ones(3), max_L=max_L)
 
     def test_empty_levels(self):
         for L in (None, 2):

@@ -1,4 +1,5 @@
 import json
+from math import comb
 
 import numpy as np
 import pytest
@@ -23,7 +24,6 @@ from coopchan.model import (
     _row_params,
     TransitionMatrix,
     Verdict,
-    _row_tables,
     simulate_vnd,
     sum_transition_matrix,
     transition_rows,
@@ -34,11 +34,47 @@ def ladder(L):
     return LevelLadder(L=L, offset=0.0, spacing=1.0)
 
 
+def reference_row_tables(L, i):
+    """Coefficients and exponents of row i as (L+1, i+1) tables: entry (j, r)
+    covers the split where r of the i open channels close and j-i+r of the
+    L-i closed ones open."""
+    j = np.arange(L + 1)[:, None]
+    r = np.arange(i + 1)[None, :]
+    jr = j - i + r
+    coeff = np.array([[comb(i, rr) * comb(L - i, int(v)) if 0 <= v <= L - i else 0
+                       for rr, v in enumerate(row_jr)] for row_jr in jr], dtype=float)
+    e_eta = np.broadcast_to(i - r, jr.shape).copy()
+    e_eta_c = np.broadcast_to(r, jr.shape).copy()
+    return coeff, e_eta, e_eta_c, np.clip(L - j - r, 0, None), np.clip(jr, 0, None)
+
+
+def reference_transition_rows(L, i, lam, eta):
+    """Row i at every pair of a lam axis (S, A) and an eta axis (S, B) per
+    block, (S, A, B, L+1): the split terms laid out last and summed with
+    ``.sum(axis=-1)``, the layout the entry-first evaluator must reproduce
+    bit for bit."""
+    coeff, e_eta, e_eta_c, e_lam, e_lam_c = reference_row_tables(L, i)
+    lam = np.asarray(lam, dtype=float)[:, :, None, None, None]
+    eta = np.asarray(eta, dtype=float)[:, None, :, None, None]
+    eta_terms = coeff * eta ** e_eta * (1.0 - eta) ** e_eta_c
+    terms = eta_terms * lam ** e_lam * (1.0 - lam) ** e_lam_c
+    return terms.sum(axis=-1)
+
+
+def reference_residuals(L, i, target, lam, eta, plus):
+    """Row i's residual at every pair of a block of axes, (S, A, B), summed
+    over the last axis of the split-last rows."""
+    vals = ((reference_transition_rows(L, i, lam, eta) - target) ** 2).sum(axis=-1)
+    if not plus:
+        return vals
+    return np.where(lam[:, :, None] - 1.0 + eta[:, None, :] >= 0, vals, np.inf)
+
+
 def reference_rows(L, i, lam, eta):
     """Row i of the transition matrix at paired candidates, (len(lam), L+1):
     four powers per pair, multiplied left to right, the reference the axis
     evaluator must reproduce bit for bit."""
-    coeff, e_eta, e_eta_c, e_lam, e_lam_c = _row_tables(L, i)
+    coeff, e_eta, e_eta_c, e_lam, e_lam_c = reference_row_tables(L, i)
     lam = np.asarray(lam, dtype=float)[:, None, None]
     eta = np.asarray(eta, dtype=float)[:, None, None]
     terms = (
@@ -296,8 +332,8 @@ class TestRowResidual:
         ll, ee = pairs(lam, eta)
         for i in range(L + 1):
             rows = transition_rows(L, i, lam, eta)
-            assert rows.shape == (*lam.shape, eta.shape[1], L + 1)
-            assert rows.tobytes() == reference_rows(L, i, ll, ee).tobytes()
+            assert rows.shape == (L + 1, *lam.shape, eta.shape[1])
+            assert np.moveaxis(rows, 0, -1).tobytes() == reference_rows(L, i, ll, ee).tobytes()
 
     @given(L=st.integers(min_value=1, max_value=20), block=blocks(), data=st.data())
     @settings(max_examples=60, deadline=None)
@@ -309,7 +345,7 @@ class TestRowResidual:
         lam, eta = block
         S, A, B = lam.shape[0], lam.shape[1], eta.shape[1]
         plus = data.draw(st.booleans())
-        target = transition_rows(L, i, [[data.draw(UNIT)]], [[data.draw(UNIT)]])[0, 0, 0]
+        target = transition_rows(L, i, [[data.draw(UNIT)]], [[data.draw(UNIT)]])[:, 0, 0, 0]
         scored = _residuals(L, i, target, lam, eta, plus)
         alone = [_residuals(L, i, target, lam[s:s + 1, a:a + 1], eta[s:s + 1, b:b + 1],
                             plus)[0, 0, 0]
@@ -319,6 +355,32 @@ class TestRowResidual:
         paired = ((reference_rows(L, i, ll, ee) - target[None, :]) ** 2).sum(axis=1)
         on_branch = (ll - 1.0 + ee >= 0) | (not plus)
         assert scored.tobytes() == np.where(on_branch, paired, np.inf).tobytes()
+
+    @given(L=st.integers(min_value=1, max_value=20), data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_the_split_last_reference(self, L, data):
+        # the axis sizes of one candidate, the shrink grids and the scans;
+        # large blocks keep S = 1, as the scans do
+        i = data.draw(st.integers(min_value=0, max_value=L))
+        A, B = (data.draw(st.sampled_from([1, 9, 11, 41, 61])) for _ in range(2))
+        S = data.draw(st.integers(min_value=1, max_value=max(1, min(6, 726 // (A * B)))))
+        unit = st.lists(UNIT, min_size=S * max(A, B), max_size=S * max(A, B))
+        lam = np.array(data.draw(unit))[:S * A].reshape(S, A)
+        eta = np.array(data.draw(unit))[:S * B].reshape(S, B)
+        plus = data.draw(st.booleans())
+        target = transition_rows(L, i, [[data.draw(UNIT)]], [[data.draw(UNIT)]])[:, 0, 0, 0]
+        assert (np.moveaxis(transition_rows(L, i, lam, eta), 0, -1).tobytes()
+                == reference_transition_rows(L, i, lam, eta).tobytes())
+        assert (_residuals(L, i, target, lam, eta, plus).tobytes()
+                == reference_residuals(L, i, target, lam, eta, plus).tobytes())
+
+    @pytest.mark.parametrize("L, i", [(140, 3), (260, 130), (300, 150), (300, 200)])
+    def test_long_rows_match_the_split_last_reference(self, L, i):
+        # more than 128 splits are summed in halves, as numpy sums them
+        rng = np.random.default_rng(L + i)
+        lam, eta = rng.random((2, 3)), rng.random((2, 5))
+        assert (np.moveaxis(transition_rows(L, i, lam, eta), 0, -1).tobytes()
+                == reference_transition_rows(L, i, lam, eta).tobytes())
 
     def test_objective_rows_use_the_row_residual(self):
         theta = ParamVector(3, [0.95, 0.9, 0.85], [0.8, 0.9, 0.97])

@@ -15,6 +15,7 @@ from coopchan.model import (
     classify_cooperativity,
     simulate_vnd,
     sum_transition_matrix,
+    sum_leading,
     sum_transition_matrix_bruteforce,
     transition_rows,
 )
@@ -206,6 +207,21 @@ class TestSumTransitionMatrix:
     def test_bruteforce_refuses_large_L(self):
         with pytest.raises(LTooLarge):
             sum_transition_matrix_bruteforce(ParamVector.constant(21, 0.5, 0.5))
+
+
+class TestSumLeading:
+    # the block shapes the MDE sums over: one candidate, the lock-step
+    # shrink grids, the 41- and 61-point scans, and the edge rows' 1-D axes
+    @pytest.mark.parametrize("block", [(1, 1, 1), (6, 11, 11), (1, 41, 41), (1, 61, 61),
+                                       (6, 11, 1), (1, 1, 61)])
+    def test_matches_numpy_last_axis_sum(self, block):
+        # below 8 terms, from 8 to 128 and beyond 128 numpy sums in three
+        # different orders; a numpy that changes any of them fails here
+        rng = np.random.default_rng(sum(block))
+        for n in range(1, 201):
+            terms = rng.random((*block, n)) * 10.0 ** rng.uniform(-8, 8, (*block, n))
+            leading = np.ascontiguousarray(np.moveaxis(terms, -1, 0))
+            assert sum_leading(leading).tobytes() == terms.sum(axis=-1).tobytes(), n
 
 
 class TestSimulate:
