@@ -2,7 +2,9 @@
 
 All writers format floats via repr (shortest round-trip) except sample times,
 which use nine decimal digits; byte-identical reruns only need identical
-inputs and seeds.
+inputs and seeds.  The rows of a discrete trace are built as one byte array
+from exactly rounded nanosecond counts; they hold the bytes that %.9f and %d
+give.
 """
 
 from __future__ import annotations
@@ -27,6 +29,77 @@ def _rows(row: str, *columns: np.ndarray) -> str:
     for k, column in enumerate(columns):
         cells[k::width] = column.tolist()
     return row * n % tuple(cells)
+
+
+# "000" .. "999", each followed by a spare byte
+_DIGIT_BYTES = np.zeros((1000, 4), dtype=np.uint8)
+_DIGIT_BYTES[:, :3] = ord("0") + np.arange(1000)[:, None] // [100, 10, 1] % 10
+# the last k digits of each value as one word: "7", "07", and "007" with the
+# spare byte, which the column written after it overwrites
+_DIGIT_WORDS = {1: _DIGIT_BYTES[:, 2].copy(),
+                2: _DIGIT_BYTES[:, 1:3].copy().view(np.uint16)[:, 0],
+                3: _DIGIT_BYTES.view(np.uint32)[:, 0]}
+
+
+def _nanoseconds(times: np.ndarray) -> np.ndarray:
+    """round-half-even(t * 1e9) of each time t, exactly, for t * 1e9 < 2**52:
+    the nanosecond count whose digits %.9f prints.  The product p = t * 1e9
+    rounds, so its exact error e comes from Dekker's product with t split by
+    Veltkamp (1e9 has 21 significant bits and needs no split).  Below 2**52
+    each integer is a multiple of ulp(p), |e| <= ulp(p)/2, and e can decide
+    only a p that lies exactly halfway; e == 0 there is a true tie, which
+    rint has broken to even as %.9f does."""
+    p = times * 1e9
+    scaled = times * 134217729.0  # 2**27 + 1
+    hi = scaled - (scaled - times)
+    err = (hi * 1e9 - p) + (times - hi) * 1e9
+    n = np.rint(p)
+    half = p - n
+    n += (half == 0.5) & (err > 0)
+    n -= (half == -0.5) & (err < 0)
+    return n.astype(np.int64)
+
+
+def _put_digits(rows: np.ndarray, start: int, width: int, x: np.ndarray) -> None:
+    """Write the nonnegative ints x as ``width`` zero-padded decimal digits
+    into columns start .. start + width - 1 of the byte rows, three at a
+    time.  A group of three is stored as a 4-byte word, so the column after
+    the digits must be written afterwards."""
+    groups = []
+    for _ in range(0, width, 3):
+        x, group = np.divmod(x, 1000)
+        groups.append(group)
+    col, end = start, start + width
+    for group in reversed(groups):
+        k = (end - col - 1) % 3 + 1
+        words = _DIGIT_WORDS[k]
+        rows[:, col:col + words.itemsize].view(words.dtype)[:, 0] = words[group]
+        col += k
+
+
+def _discrete_rows(times: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The bytes of _rows("%.9f,%d\n", times, counts) as one uint8 array, for
+    increasing nonnegative times below 2**52 ns and nonnegative int64 counts.
+    Each row is laid out with the seconds and the count right-aligned in
+    their widest widths; one mask drops the pad bytes before them."""
+    # below 2**52 ns both parts fit int32, whose division is the faster
+    seconds, fraction = np.divmod(_nanoseconds(times), 10 ** 9)
+    seconds, fraction = seconds.astype(np.int32), fraction.astype(np.int32)
+    ws, wc = len(str(seconds[-1])), len(str(counts.max()))
+    rows = np.empty((len(times), ws + wc + 12), dtype=np.uint8)
+    _put_digits(rows, 0, ws, seconds)
+    _put_digits(rows, ws + 1, 9, fraction)
+    _put_digits(rows, ws + 11, wc, counts)
+    rows[:, ws] = ord(".")
+    rows[:, ws + 10] = ord(",")
+    rows[:, -1] = ord("\n")
+    if ws == wc == 1:
+        return rows.reshape(-1)
+    # a digit column of place 10**k > 1 is a pad where the number is below 10**k
+    keep = np.ones(rows.shape, dtype=bool)
+    keep[:, :ws - 1] = seconds[:, None] >= 10 ** np.arange(ws - 1, 0, -1)
+    keep[:, ws + 11:-2] = counts[:, None] >= 10 ** np.arange(wc - 1, 0, -1)
+    return rows[keep]
 
 
 def dump_json(obj, path) -> None:
@@ -206,9 +279,20 @@ def read_idealisation(path) -> Idealisation:
 
 
 def write_discrete(trace: DiscreteTrace, sample_rate: float, path) -> None:
+    """CSV with a `time,open_channels` header, times at nine decimals, plus a
+    .meta.json sidecar with the rate and ladder.  A rate that is not finite
+    and positive raises before anything is written."""
+    if not 0 < sample_rate < np.inf:
+        raise ValueError("sample_rate must be finite and positive")
     path = Path(path)
-    path.write_text("time,open_channels\n"
-                    + _rows("%.9f,%d\n", sample_times(len(trace), sample_rate), trace.values))
+    times = sample_times(len(trace), sample_rate)
+    # the byte rows round exactly below 2**52 ns; later times take _rows
+    if float(times[-1]) * 1e9 < 2.0 ** 52:
+        with path.open("wb") as fh:
+            fh.write(b"time,open_channels\n")
+            fh.write(_discrete_rows(times, trace.values.astype(np.int64)))
+    else:
+        path.write_text("time,open_channels\n" + _rows("%.9f,%d\n", times, trace.values))
     dump_json({
         "sample_rate": float(sample_rate),
         "ladder": {"L": trace.ladder.L, "offset": trace.ladder.offset,

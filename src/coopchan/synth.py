@@ -40,8 +40,8 @@ class Kernel:
         object.__setattr__(self, "taps", taps)
         if self.kind not in KERNEL_KINDS:
             raise ValueError(f"unknown kernel kind {self.kind!r}")
-        if not self.sample_rate > 0:
-            raise ValueError("sample_rate must be positive")
+        if not 0 < self.sample_rate < np.inf:
+            raise ValueError("sample_rate must be finite and positive")
         if taps.ndim != 1 or len(taps) == 0:
             raise ValueError("taps must be a nonempty vector")
         if (taps < 0).any():
@@ -115,8 +115,8 @@ class Recording:
             raise ValueError("recording needs at least one sample")
         if not np.isfinite(samples).all():
             raise ValueError("recording samples must be finite")
-        if not self.sample_rate > 0:
-            raise ValueError("sample_rate must be positive")
+        if not 0 < self.sample_rate < np.inf:
+            raise ValueError("sample_rate must be finite and positive")
         if self.kernel.sample_rate != self.sample_rate:
             raise ValueError(f"kernel sample_rate {self.kernel.sample_rate!r} is not the "
                              f"recording's {self.sample_rate!r}")
@@ -176,8 +176,8 @@ def make_kernel(
     ``bessel`` samples the analog impulse response and renormalizes; custom
     taps are normalized to unit sum.
     """
-    if not sample_rate > 0:
-        raise ValueError("sample_rate must be positive")
+    if not 0 < sample_rate < np.inf:
+        raise ValueError("sample_rate must be finite and positive")
     if kind == "identity":
         return Kernel("identity", np.array([1.0]), sample_rate)
     if kind == "bspline2":

@@ -1,11 +1,12 @@
 import json
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from coopchan import io as cio
@@ -132,14 +133,58 @@ class TestIORoundTrips:
     @pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int64, np.uint8])
     def test_discrete_rows_match_row_formatter(self, tmp_path, dtype):
         # sample times at nine decimals and counts as integers, whatever the
-        # integer dtype of the trace
-        values = np.random.default_rng(13).integers(0, 21, 5000).astype(dtype)
-        trace = DiscreteTrace(values=values, ladder=LevelLadder(L=20, offset=0.0, spacing=1.0))
-        path = tmp_path / "disc.csv"
-        cio.write_discrete(trace, 3.0, path)
-        times = np.arange(1, len(values) + 1) / 3.0
-        rows = [f"{t:.9f},{int(v)}" for t, v in zip(times, values)]
-        assert path.read_text() == "\n".join(["time,open_channels"] + rows) + "\n"
+        # integer dtype of the trace.  1024 Hz puts exact ties (k / 1024 for
+        # odd k) on the ninth decimal; 100 Hz at n = 1200 gives 1- and 2-digit
+        # seconds in one file; 1e-3 Hz at n = 4600 reaches 2**52 ns, past
+        # which the writer formats cell by cell
+        for rate, n in [(3.0, 5000), (1e4, 5000), (7.0, 5000), (1024.0, 5000), (100.0, 1200),
+                        (1e-3, 4600)]:
+            values = np.random.default_rng(13).integers(0, 21, n).astype(dtype)
+            trace = DiscreteTrace(values=values, ladder=LevelLadder(L=20, offset=0.0, spacing=1.0))
+            path = tmp_path / "disc.csv"
+            cio.write_discrete(trace, rate, path)
+            times = np.arange(1, len(values) + 1) / rate
+            rows = [f"{t:.9f},{int(v)}" for t, v in zip(times, values)]
+            assert path.read_text() == "\n".join(["time,open_channels"] + rows) + "\n"
+
+    @given(times=st.lists(st.one_of(
+        st.floats(min_value=0.0, max_value=4503599.6),
+        # exact ties on the ninth decimal and the doubles either side of them
+        st.builds(lambda m, side: float(np.nextafter(m * 2.0 ** -10, side)),
+                  st.integers(0, 2 ** 31).map(lambda k: 2 * k + 1),
+                  st.sampled_from([-np.inf, 0.0, np.inf])).filter(lambda t: t * 1e9 < 2 ** 52),
+        # the doubles nearest a half nanosecond, where the product t * 1e9
+        # itself rounds to a tie
+        st.integers(0, 2 ** 52 - 1).map(lambda k: (k + 0.5) / 1e9),
+    ), min_size=1, max_size=40))
+    @example(times=[1 / 1024, 3 / 1024, 0.0, 5e-324, 4503599.6])
+    @settings(max_examples=300, deadline=None)
+    def test_nanoseconds_round_as_nine_decimals(self, times):
+        # below 2**52 ns the exact nanosecond count has the digits of %.9f
+        ns = cio._nanoseconds(np.array(times))
+        assert [f"{k // 10 ** 9}.{k % 10 ** 9:09d}" for k in ns.tolist()] == \
+            ["%.9f" % t for t in times]
+
+    @pytest.mark.parametrize("rate, n", [(1e-3, 4600), (1e-300, 3)])
+    def test_cell_formatted_discrete_rows_raise_no_warning(self, tmp_path, rate, n):
+        # times at or past 2**52 ns skip the exact rounding before any array
+        # product could overflow or cast an out-of-range float
+        ladder = LevelLadder(L=2, offset=0.0, spacing=1.0)
+        trace = DiscreteTrace(values=np.arange(n) % 3, ladder=ladder)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cio.write_discrete(trace, rate, tmp_path / "disc.csv")
+        assert read_bytes(tmp_path / "disc.csv") == reference_discrete_csv(trace, rate).encode()
+
+    @pytest.mark.parametrize("rate", [float("inf"), float("nan"), 0.0, -1.0])
+    def test_discrete_writer_rejects_a_bad_rate(self, tmp_path, rate):
+        # an infinite rate used to write every time as 0.000000000 and a
+        # sidecar that read_discrete refuses
+        ladder = LevelLadder(L=1, offset=0.0, spacing=1.0)
+        trace = DiscreteTrace(values=np.array([0, 1]), ladder=ladder)
+        with pytest.raises(ValueError, match="sample_rate must be finite and positive"):
+            cio.write_discrete(trace, rate, tmp_path / "disc.csv")
+        assert list(tmp_path.iterdir()) == []
 
     def test_idealisation_rows_match_row_formatter(self, tmp_path):
         # segment bounds at nine decimals and levels by repr, on awkward
@@ -843,6 +888,26 @@ class TestCli:
         assert result.exit_code == 2
         assert "sidecar sample_rate" in result.output
         assert sorted(p.name for p in out.iterdir()) == ["run_config.json"]
+
+    @pytest.mark.parametrize("rate", ["inf", "nan", "0", "-5"])
+    @pytest.mark.parametrize("command", ["pipeline", "idealise"])
+    def test_bad_rate_option_exit_code(self, runner, tmp_path, command, rate):
+        # --rate for a recording without a sidecar must be finite and
+        # positive; inf used to run the idealisation and then exit 4
+        src = tmp_path / "rec.csv"
+        src.write_text("0.001,0.1\n0.002,0.2\n0.003,1.1\n0.004,1.0\n")
+        out = tmp_path / "out"
+        result = runner.invoke(main, [command, "--input", str(src), "--rate", rate,
+                                      "--out", str(out)])
+        assert result.exit_code == 2
+        assert "sample_rate must be finite and positive" in result.output
+        assert sorted(p.name for p in out.iterdir()) == ["run_config.json"]
+
+    def test_simulate_infinite_rate_is_a_stage_failure(self, runner, tmp_path):
+        result = runner.invoke(main, ["simulate", "--theta", "0.9,0.9", "--n", "10",
+                                      "--rate", "inf", "--out", str(tmp_path / "out")])
+        assert result.exit_code == 4
+        assert "sample_rate must be finite and positive" in result.output
 
     @pytest.mark.parametrize("rate", [-10000.0, 0.0, float("nan"), float("inf"), None, "fast"])
     @pytest.mark.parametrize("command", ["discretise", "dwell", "infer"])

@@ -129,7 +129,7 @@ class TestKernels:
         np.testing.assert_allclose(k.taps, [0.25, 0.5, 0.25])
 
     def test_invalid(self):
-        with pytest.raises(ValueError, match="sample_rate must be positive"):
+        with pytest.raises(ValueError, match="sample_rate must be finite and positive"):
             make_kernel("identity", -1.0)
         with pytest.raises(ValueError, match="need order >= 1 and 0 < cutoff < sample_rate / 2"):
             make_kernel("bessel", 100.0, cutoff=90.0)
@@ -232,6 +232,15 @@ class TestSampleGrid:
         step = StepFunction([0.0, times[1], times[4]], [1.0, 3.0])
         np.testing.assert_array_equal(step.per_sample(rate), [1.0, 3.0, 3.0, 3.0, 3.0])
         np.testing.assert_array_equal(reference_sample(step, times), [1.0, 3.0, 3.0, 3.0, 3.0])
+
+    @pytest.mark.parametrize("rate", [float("inf"), float("nan"), 0.0, -1.0])
+    def test_rate_must_be_finite_and_positive(self, rate):
+        # an infinite rate used to pass all three checks
+        for build in (lambda: make_kernel("identity", rate),
+                      lambda: Kernel("identity", np.array([1.0]), rate),
+                      lambda: Recording(np.zeros(3), rate, make_kernel("identity", 1.0))):
+            with pytest.raises(ValueError, match="sample_rate must be finite and positive"):
+                build()
 
     def test_recording_kernel_must_share_its_rate(self):
         with pytest.raises(ValueError, match="kernel sample_rate"):
