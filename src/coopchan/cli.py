@@ -167,6 +167,7 @@ def _command(fn):
 @click.option("--seed", type=int, default=0, help="RNG seed.")
 def simulate(resolved, out):
     """Simulate a recording and write recording.csv plus metadata."""
+    _checked(resolved, "rate", lambda v: 0.0 < v < np.inf, "finite and positive")
     n = _int_at_least(resolved, "n", 1)
     order = _int_at_least(resolved, "bessel_order", 1)
     seed = _int_at_least(resolved, "seed", 0)

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import chi2
+from scipy.special import chdtrc
 
 from .core import DiscreteTrace
 
@@ -113,7 +113,7 @@ def markov_property_test(trace, min_expected: float = 5.0) -> MarkovTestResult:
     return MarkovTestResult(
         statistic=statistic,
         dof=dof,
-        p_value=float(chi2.sf(statistic, dof)),
+        p_value=float(chdtrc(dof, statistic)),
         contingency=contingency,
     )
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.stats import binom
+from scipy.special import betaincc, ndtri
 
 from .core import StepFunction
 from .synth import Recording
@@ -39,20 +39,28 @@ def sign_bounds(alpha: float, n: int, m: int) -> tuple[int, int]:
     lower = max{q : P(Bin(m, 1/2) < q) <= alpha_m / 2}, where
     alpha_m = alpha * m / (2 * D * n) spreads the level over the
     D = floor(log2 n) + 1 dyadic scales and the ~2n/m half-overlapping
-    windows per scale.  Cached, since every segmenter of one decimated
-    length asks for the same bounds.
+    windows per scale.  The cdf P(Bin(m, 1/2) <= t) is the regularized
+    upper incomplete beta I_{1/2}(t + 1, m - t) computed by ``betaincc``
+    (1 for t >= m); the walk to the bound starts at the normal
+    approximation of the quantile, clamped to [-1, m - 1].  Cached, since
+    every segmenter of one decimated length asks for the same bounds.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha = {alpha!r} must be in (0, 1)")
     if not 1 <= m <= n:
         raise ValueError(f"window length {m} outside 1..{n}")
     a2 = float(alpha) * m / (2.0 * (math.floor(math.log2(n)) + 1) * n) / 2.0
-    t = int(binom.ppf(a2, m, 0.5))
-    while t >= 0 and binom.cdf(t, m, 0.5) > a2:
+    t = int(min(max(m / 2 + math.sqrt(m) / 2 * ndtri(a2), -1), m - 1))
+    while t >= 0 and _binom_half_cdf(t, m) > a2:
         t -= 1
-    while binom.cdf(t + 1, m, 0.5) <= a2:
+    while _binom_half_cdf(t + 1, m) <= a2:
         t += 1
     return t + 1, m - t - 1
+
+
+def _binom_half_cdf(t: int, m: int) -> float:
+    """P(Bin(m, 1/2) <= t) for 0 <= t."""
+    return 1.0 if t >= m else betaincc(t + 1, m - t, 0.5)
 
 
 @dataclass(frozen=True)

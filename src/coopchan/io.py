@@ -208,9 +208,10 @@ def read_recording(path, sample_rate: float | None = None) -> Recording:
     further columns are ignored); the sidecar .meta.json restores the kernel
     and truth when present, otherwise the sampling rate must be supplied or
     is inferred from the time column, and an identity kernel is assumed.
-    A sidecar sample_rate that is not its kernel's finite positive rate, or
-    truth whose theta is invalid or whose n_samples or step_breaks do not
-    span the CSV's samples, raises."""
+    A sidecar sample_rate that is not its kernel's finite positive rate, a
+    given sample_rate that is not the sidecar's, or truth whose theta is
+    invalid or whose n_samples or step_breaks do not span the CSV's
+    samples, raises."""
     path = Path(path)
     data = np.loadtxt(path, delimiter=",", usecols=(0, 1), ndmin=2,
                       skiprows=_first_sample_line(path))
@@ -221,6 +222,9 @@ def read_recording(path, sample_rate: float | None = None) -> Recording:
         meta = load_json(meta_file)
         kernel = kernel_from_dict(meta["kernel"])
         rate = _sidecar_rate(meta)
+        if sample_rate is not None and sample_rate != rate:
+            raise ValueError(f"sample_rate {sample_rate!r} was given, but the sidecar's "
+                             f"sample_rate is {rate!r}")
         if rate != kernel.sample_rate:
             raise ValueError(f"sidecar sample_rate {rate!r} is not its kernel's "
                              f"sample_rate {kernel.sample_rate!r}")

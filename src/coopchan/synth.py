@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.signal
 
 from .core import DiscreteTrace, LevelLadder, StepFunction, sample_times
 from .model import ParamVector, simulate_vnd, _seed_sequence
@@ -136,6 +135,8 @@ def _bessel_taps(order: int, cutoff: float, sample_rate: float) -> np.ndarray:
     the taps are cached and shared read-only."""
     if order < 1 or not 0 < cutoff < sample_rate / 2:
         raise ValueError("need order >= 1 and 0 < cutoff < sample_rate / 2")
+    import scipy.signal  # here, not at module level: it is slow to import
+
     b, a = scipy.signal.bessel(order, 2 * np.pi * cutoff, btype="low", analog=True, norm="mag")
     # long enough grid: the response of a Bessel filter decays within a few
     # periods of the cutoff frequency

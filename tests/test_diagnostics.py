@@ -139,6 +139,20 @@ class TestMarkovTest:
         with pytest.raises(AllCellsSparse):
             markov_property_test(np.array([0, 0, 0, 1, 0]))
 
+    def test_p_value_is_chi2_sf_bit_for_bit(self):
+        # a de Bruijn cycle of order 3 visits every (prev, cur, next) once,
+        # so ten of them, closed, give exactly independent tables: statistic 0
+        cycle = [0, 0, 0, 1, 0, 1, 1, 1]
+        rng = np.random.default_rng(21)
+        traces = [np.array(cycle * 10 + cycle[:2]), order2_counterexample(2000)]
+        traces += [rng.integers(0, k, n) for k in (2, 3, 5) for n in (300, 5000)]
+        theta = ParamVector.from_flat([0.9, 0.8, 0.7, 0.95])
+        traces += [simulate_vnd(theta, 4000, seed=seed).sums for seed in range(4)]
+        results = [markov_property_test(values) for values in traces]
+        assert (results[0].statistic, results[0].p_value) == (0.0, 1.0)
+        for res in results:
+            assert res.p_value == float(chi2.sf(res.statistic, res.dof))
+
     def test_statistic_fields(self):
         rng = np.random.default_rng(3)
         res = markov_property_test(rng.integers(0, 3, 5000))

@@ -1,7 +1,6 @@
 import itertools
 import math
 from fractions import Fraction
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -72,7 +71,35 @@ def window_level(alpha, n, m):
     return alpha * m / (2.0 * (math.floor(math.log2(n)) + 1) * n)
 
 
+def reference_sign_bounds(triples):
+    """sign_bounds of each (alpha, n, m) as scipy.stats computes it: the walk
+    to the bound starts at binom.ppf and steps on binom.cdf."""
+    from scipy.stats import binom
+
+    alpha, n, m = (np.array(v) for v in zip(*triples))
+    a2 = np.array([window_level(*v) / 2.0 for v in triples])
+    t = binom.ppf(a2, m, 0.5).astype(np.int64)
+    while (down := (t >= 0) & (binom.cdf(t, m, 0.5) > a2)).any():
+        t -= down
+    while (up := binom.cdf(t + 1, m, 0.5) <= a2).any():
+        t += up
+    return [(int(lo), int(m_ - lo)) for lo, m_ in zip(t + 1, m)]
+
+
 class TestSignBounds:
+    def test_matches_scipy_stats_reference(self):
+        # every dyadic window of small and large lengths, at fixed and
+        # seeded random levels; the smallest alpha puts the walk's normal
+        # start below the clamp at -1 for the short windows
+        rng = np.random.default_rng(21)
+        alphas = [1e-300, 0.001, 0.01, 0.05, 0.1, 0.25, 0.5, 0.9, 0.99,
+                  *rng.uniform(0.001, 0.99, 8)]
+        ns = [*range(1, 300), *rng.integers(300, 4_200_000, 20)]
+        triples = [(float(alpha), int(n), 2**k) for alpha in alphas for n in ns
+                   for k in range(int(n).bit_length())]
+        got = [sign_bounds.__wrapped__(*v) for v in triples]
+        assert got == reference_sign_bounds(triples)
+
     def test_single_sample_unconstrained(self):
         for alpha in (0.01, 0.1, 0.5, 0.99):
             assert sign_bounds(alpha, 100, 1) == (0, 1)
@@ -649,17 +676,17 @@ class TestScaling:
         assert calls == 0
 
     def test_segmenters_of_one_length_share_their_bounds(self, monkeypatch):
-        # counts, not timings: the binomial quantiles of a decimated length
+        # counts, not timings: the binomial bounds of a decimated length
         # are computed once, not once per recording
-        binom = idealise.binom
+        betaincc = idealise.betaincc
         calls = 0
 
-        def counting_ppf(*args):
+        def counting_cdf(*args):
             nonlocal calls
             calls += 1
-            return binom.ppf(*args)
+            return betaincc(*args)
 
-        monkeypatch.setattr(idealise, "binom", SimpleNamespace(ppf=counting_ppf, cdf=binom.cdf))
+        monkeypatch.setattr(idealise, "betaincc", counting_cdf)
         rng = np.random.default_rng(2)
         sign_bounds.cache_clear()
         _Segmenter(rng.standard_normal(1200), d=2, stride=2, alpha=0.1)

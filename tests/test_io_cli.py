@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -351,6 +354,17 @@ class TestIORoundTrips:
         np.testing.assert_array_equal(back.values, trace.values)
         assert rate == 50.0
         assert back.ladder.offset == 0.1
+
+
+def test_import_leaves_out_scipy_stats_and_signal():
+    # both cost most of a fresh import; scipy.signal loads when Bessel taps
+    # are first built
+    code = ("import sys, coopchan, coopchan.cli; "
+            "print(sorted({'scipy.stats', 'scipy.signal'} & set(sys.modules)))")
+    src = str(Path(cio.__file__).parents[1])
+    done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 class TestCli:
@@ -903,11 +917,43 @@ class TestCli:
         assert "sample_rate must be finite and positive" in result.output
         assert sorted(p.name for p in out.iterdir()) == ["run_config.json"]
 
-    def test_simulate_infinite_rate_is_a_stage_failure(self, runner, tmp_path):
+    @pytest.mark.parametrize("rate", ["inf", "nan", "0", "-5"])
+    def test_simulate_bad_rate_exit_code(self, runner, tmp_path, rate):
+        # invalid configuration, checked before the kernel is built
+        out = tmp_path / "out"
         result = runner.invoke(main, ["simulate", "--theta", "0.9,0.9", "--n", "10",
-                                      "--rate", "inf", "--out", str(tmp_path / "out")])
-        assert result.exit_code == 4
-        assert "sample_rate must be finite and positive" in result.output
+                                      "--rate", rate, "--out", str(out)])
+        assert result.exit_code == 2
+        assert "--rate must be finite and positive" in result.output
+        assert sorted(p.name for p in out.iterdir()) == ["run_config.json"]
+
+    @pytest.mark.parametrize("rate", ["5000", "inf", "nan"])
+    @pytest.mark.parametrize("command", ["pipeline", "idealise"])
+    def test_rate_option_beside_a_sidecar_exit_code(self, runner, tmp_path, command, rate):
+        # the sidecar's rate is 1 kHz; any other --rate is unreadable input
+        path = tmp_path / "rec.csv"
+        sidecar_recording(path)
+        out = tmp_path / "out"
+        result = runner.invoke(main, [command, "--input", str(path), "--rate", rate,
+                                      "--out", str(out)])
+        assert result.exit_code == 2
+        assert f"sample_rate {float(rate)!r} was given" in result.output
+        assert "sidecar's sample_rate is 1000.0" in result.output
+        assert sorted(p.name for p in out.iterdir()) == ["run_config.json"]
+
+    @pytest.mark.parametrize("command", ["pipeline", "idealise"])
+    def test_rate_option_equal_to_the_sidecar_is_accepted(self, runner, tmp_path, command):
+        path = tmp_path / "rec.csv"
+        sidecar_recording(path)
+        outs = [tmp_path / "given", tmp_path / "unset"]
+        for out, extra in zip(outs, (["--rate", "1000"], [])):
+            result = runner.invoke(main, [command, "--input", str(path), *extra,
+                                          "--out", str(out)])
+            assert result.exit_code == 0, result.output
+        artifacts = sorted(p.name for p in outs[1].iterdir() if p.name != "run_config.json")
+        assert artifacts
+        for name in artifacts:
+            assert read_bytes(outs[0] / name) == read_bytes(outs[1] / name), name
 
     @pytest.mark.parametrize("rate", [-10000.0, 0.0, float("nan"), float("inf"), None, "fast"])
     @pytest.mark.parametrize("command", ["discretise", "dwell", "infer"])
