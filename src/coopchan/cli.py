@@ -62,12 +62,15 @@ def _fail(code: int, message: str):
 
 
 def _read_input(reader, path, *args):
-    """A command's --input file: a missing file exits 3, a malformed one 2."""
+    """A command's --input file: a missing file exits 3, a malformed one 2.
+    A sidecar of the wrong JSON shape, such as a list or a null where an
+    object is read, fails with TypeError, and runs that claim more samples
+    than memory holds with MemoryError."""
     try:
         return reader(path, *args)
     except FileNotFoundError as err:
         _fail(3, str(err))
-    except (ValueError, KeyError) as err:
+    except (ValueError, KeyError, TypeError, MemoryError) as err:
         _fail(2, f"cannot read {path}: {err}")
 
 

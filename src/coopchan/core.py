@@ -19,6 +19,13 @@ def sample_times(n: int, sample_rate: float) -> np.ndarray:
     return np.arange(1, n + 1) / sample_rate
 
 
+def run_starts(values) -> np.ndarray:
+    """Index of the first sample of each maximal run of equal values (none
+    for no values)."""
+    values = np.asarray(values)
+    return np.flatnonzero(np.concatenate([[len(values) > 0], values[1:] != values[:-1]]))
+
+
 @dataclass(frozen=True)
 class StepFunction:
     """Piecewise-constant function on [0, t_max].
@@ -83,6 +90,8 @@ class LevelLadder:
     sse: float = 0.0
 
     def __post_init__(self):
+        if not float(self.L).is_integer():
+            raise ValueError(f"L must be an integer, got {self.L!r}")
         if int(self.L) < 1:
             raise ValueError("L must be >= 1")
         object.__setattr__(self, "L", int(self.L))

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import chdtrc
 
-from .core import DiscreteTrace
+from .core import DiscreteTrace, run_starts
 
 
 class AllCellsSparse(ValueError):
@@ -127,10 +127,9 @@ def dwell_times(trace, state: int, sample_rate: float, n_bins: int = 24) -> Dwel
     values = np.asarray(trace.values if isinstance(trace, DiscreteTrace) else trace)
     if isinstance(trace, DiscreteTrace) and not 0 <= state <= trace.ladder.L:
         raise ValueError(f"state {state} outside 0..{trace.ladder.L}")
-    at = np.concatenate([[0], (values == state).astype(np.int8), [0]])
-    starts = np.nonzero(np.diff(at) == 1)[0]
-    ends = np.nonzero(np.diff(at) == -1)[0]
-    interior = (starts > 0) & (ends < len(values))
+    starts = run_starts(values)
+    ends = np.append(starts[1:], len(values))
+    interior = (values[starts] == state) & (starts > 0) & (ends < len(values))
     lengths = (ends - starts)[interior]
     if len(lengths) == 0:
         raise NoVisits(f"state {state} has no interior dwell")

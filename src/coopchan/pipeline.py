@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import DiscreteTrace, LevelLadder, checked_levels
+from .core import DiscreteTrace, LevelLadder, checked_levels, run_starts
 from .discretise import discretise_trace, equal_spacing_cluster
 from .idealise import Idealisation, muscle_fit
 from .infer import MdeResult, cooperativity_report, empirical_transition_matrix, mde_fit
@@ -40,7 +40,7 @@ def _truth_metrics(recording: Recording, ideal: Idealisation, trace: DiscreteTra
     metrics = {
         "idealisation_sse": float(np.mean(level_err ** 2)),
         "idealisation_switches": int(ideal.n_switches),
-        "true_switches": int((np.diff(true_vals) != 0).sum()),
+        "true_switches": len(run_starts(true_vals)) - 1,
         "discrete_mismatch_rate": mismatch,
         "discrete_shift": shift,
     }

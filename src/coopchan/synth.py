@@ -13,7 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import DiscreteTrace, LevelLadder, StepFunction, sample_times
+from .core import DiscreteTrace, LevelLadder, StepFunction, run_starts, sample_times
 from .model import ParamVector, simulate_vnd, _seed_sequence
 
 DEFAULT_SAMPLE_RATE = 10_000.0
@@ -203,7 +203,7 @@ def step_from_trace(trace, offset: float, spacing: float, sample_rate: float) ->
     values = np.asarray(trace.values if isinstance(trace, DiscreteTrace) else trace)
     if values.ndim != 1 or len(values) == 0:
         raise ValueError("trace must hold at least one sample")
-    starts = np.concatenate([[0], np.nonzero(values[1:] != values[:-1])[0] + 1])
+    starts = run_starts(values)
     levels = offset + spacing * values[starts].astype(float)
     return StepFunction.on_grid(starts, levels, len(values), sample_rate)
 

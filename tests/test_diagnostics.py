@@ -62,6 +62,16 @@ def reference_markov_property_test(values, min_expected=5.0):
                             contingency=contingency)
 
 
+def reference_dwell_lengths(values, state):
+    """dwell_times' interior run lengths, in samples, from the edges of the
+    state's 0/1 indicator: the reference for the runs of run_starts."""
+    at = np.concatenate([[0], (np.asarray(values) == state).astype(np.int8), [0]])
+    starts = np.nonzero(np.diff(at) == 1)[0]
+    ends = np.nonzero(np.diff(at) == -1)[0]
+    interior = (starts > 0) & (ends < len(values))
+    return (ends - starts)[interior]
+
+
 def trace_of(values, L):
     return DiscreteTrace(values=np.asarray(values), ladder=LevelLadder(L=L, offset=0.0, spacing=1.0))
 
@@ -206,6 +216,25 @@ class TestDwellTimes:
             single = dwell_times(trace_of(values, 2), state, 1.0)
             both = dwell_times(trace_of(doubled, 2), state, 1.0)
             assert len(both.samples) == 2 * len(single.samples)
+
+    @given(runs=st.lists(st.tuples(st.integers(min_value=0, max_value=4),
+                                   st.integers(min_value=1, max_value=12)),
+                         min_size=1, max_size=40),
+           dtype=st.sampled_from([np.int8, np.uint8, np.int64]),
+           state=st.integers(min_value=0, max_value=4),
+           rate=st.sampled_from([1.0, 3.0, 1e4]))
+    @settings(max_examples=200, deadline=None)
+    def test_dwells_match_the_indicator_reference(self, runs, dtype, state, rate):
+        values = np.repeat(*np.array(runs).T).astype(dtype)
+        lengths = reference_dwell_lengths(values, state)
+        for trace in (values, trace_of(values, 4)):
+            if len(lengths) == 0:
+                with pytest.raises(NoVisits):
+                    dwell_times(trace, state, rate)
+                continue
+            fit = dwell_times(trace, state, rate)
+            assert fit.samples.tobytes() == (lengths / rate).tobytes()
+            assert fit.rate == 1.0 / float((lengths / rate).mean())
 
     def test_histogram_shape(self):
         rng = np.random.default_rng(9)

@@ -271,6 +271,19 @@ class TestEqualSpacingCluster:
             equal_spacing_cluster([], L=1)
 
 
+class TestLevelLadder:
+    @pytest.mark.parametrize("L", [2.9, 1.5, 3.000001, float("inf"), float("nan")])
+    def test_non_integral_L_is_rejected(self, L):
+        # int() would truncate it to another channel count
+        with pytest.raises(ValueError, match="L must be an integer"):
+            LevelLadder(L=L, offset=0.0, spacing=1.0)
+
+    @pytest.mark.parametrize("L", [3, np.int64(3), np.int32(3), 3.0])
+    def test_integral_L_is_accepted(self, L):
+        ladder = LevelLadder(L=L, offset=0.0, spacing=1.0)
+        assert ladder.L == 3 and type(ladder.L) is int
+
+
 class TestDiscreteTrace:
     def test_float_values_are_rejected(self):
         # counts are integers: a float array is refused, even one of whole numbers

@@ -44,10 +44,21 @@ def reference_idealisation_csv(ideal):
     return "segment_start_time,segment_end_time,level\n" + "\n".join(rows) + "\n"
 
 
-def reference_discrete_csv(trace, sample_rate):
-    times = np.arange(1, len(trace) + 1) / sample_rate
-    rows = map("{:.9f},{}".format, times.tolist(), trace.values.tolist())
-    return "time,open_channels\n" + "\n".join(rows) + "\n"
+def reference_discrete_csv(trace):
+    # one row per maximal run, found sample by sample
+    values, rows, first = trace.values.tolist(), [], 1
+    for k, v in enumerate(values, start=1):
+        if k == len(values) or values[k] != v:
+            rows.append(f"{first},{k},{v}")
+            first = k + 1
+    return "first_sample,last_sample,open_channels\n" + "\n".join(rows) + "\n"
+
+
+def per_sample_discrete_csv(trace, sample_rate, header=True):
+    """A trace as one time and count a row, as discrete traces were written
+    before they were written as runs."""
+    rows = [f"{(k + 1) / sample_rate:.9f},{v}" for k, v in enumerate(trace.values.tolist())]
+    return "time,open_channels\n" * header + "\n".join(rows) + "\n"
 
 
 def reference_histogram_csv(bin_left, bin_right, count):
@@ -135,49 +146,32 @@ class TestIORoundTrips:
 
     @pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int64, np.uint8])
     def test_discrete_rows_match_row_formatter(self, tmp_path, dtype):
-        # sample times at nine decimals and counts as integers, whatever the
-        # integer dtype of the trace.  1024 Hz puts exact ties (k / 1024 for
-        # odd k) on the ninth decimal; 100 Hz at n = 1200 gives 1- and 2-digit
-        # seconds in one file; 1e-3 Hz at n = 4600 reaches 2**52 ns, past
-        # which the writer formats cell by cell
-        for rate, n in [(3.0, 5000), (1e4, 5000), (7.0, 5000), (1024.0, 5000), (100.0, 1200),
-                        (1e-3, 4600)]:
-            values = np.random.default_rng(13).integers(0, 21, n).astype(dtype)
-            trace = DiscreteTrace(values=values, ladder=LevelLadder(L=20, offset=0.0, spacing=1.0))
-            path = tmp_path / "disc.csv"
+        # one row per maximal run of equal counts: its first and last sample,
+        # numbered from 1, and its count, all as integers whatever the integer
+        # dtype of the trace.  Repeated draws put equal counts side by side,
+        # which join into one run; the rate goes to the sidecar alone
+        rng = np.random.default_rng(13)
+        values = np.repeat(rng.integers(0, 21, 600), rng.integers(1, 40, 600)).astype(dtype)
+        trace = DiscreteTrace(values=values, ladder=LevelLadder(L=20, offset=0.0, spacing=1.0))
+        path = tmp_path / "disc.csv"
+        for rate in (3.0, 1e4, 1024.0, 1e-3):
             cio.write_discrete(trace, rate, path)
-            times = np.arange(1, len(values) + 1) / rate
-            rows = [f"{t:.9f},{int(v)}" for t, v in zip(times, values)]
-            assert path.read_text() == "\n".join(["time,open_channels"] + rows) + "\n"
-
-    @given(times=st.lists(st.one_of(
-        st.floats(min_value=0.0, max_value=4503599.6),
-        # exact ties on the ninth decimal and the doubles either side of them
-        st.builds(lambda m, side: float(np.nextafter(m * 2.0 ** -10, side)),
-                  st.integers(0, 2 ** 31).map(lambda k: 2 * k + 1),
-                  st.sampled_from([-np.inf, 0.0, np.inf])).filter(lambda t: t * 1e9 < 2 ** 52),
-        # the doubles nearest a half nanosecond, where the product t * 1e9
-        # itself rounds to a tie
-        st.integers(0, 2 ** 52 - 1).map(lambda k: (k + 0.5) / 1e9),
-    ), min_size=1, max_size=40))
-    @example(times=[1 / 1024, 3 / 1024, 0.0, 5e-324, 4503599.6])
-    @settings(max_examples=300, deadline=None)
-    def test_nanoseconds_round_as_nine_decimals(self, times):
-        # below 2**52 ns the exact nanosecond count has the digits of %.9f
-        ns = cio._nanoseconds(np.array(times))
-        assert [f"{k // 10 ** 9}.{k % 10 ** 9:09d}" for k in ns.tolist()] == \
-            ["%.9f" % t for t in times]
+            assert path.read_text() == reference_discrete_csv(trace)
+            assert cio.load_json(cio.meta_path(path))["sample_rate"] == rate
 
     @pytest.mark.parametrize("rate, n", [(1e-3, 4600), (1e-300, 3)])
     def test_cell_formatted_discrete_rows_raise_no_warning(self, tmp_path, rate, n):
-        # times at or past 2**52 ns skip the exact rounding before any array
-        # product could overflow or cast an out-of-range float
+        # sample times past 2**52 ns, or past any float, are never formed:
+        # the rows hold sample numbers, so a tiny rate writes and reads back
         ladder = LevelLadder(L=2, offset=0.0, spacing=1.0)
-        trace = DiscreteTrace(values=np.arange(n) % 3, ladder=ladder)
+        trace = DiscreteTrace(values=np.arange(n) // 7 % 3, ladder=ladder)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             cio.write_discrete(trace, rate, tmp_path / "disc.csv")
-        assert read_bytes(tmp_path / "disc.csv") == reference_discrete_csv(trace, rate).encode()
+            back, back_rate = cio.read_discrete(tmp_path / "disc.csv")
+        assert read_bytes(tmp_path / "disc.csv") == reference_discrete_csv(trace).encode()
+        assert back.values.tobytes() == trace.values.astype(np.int64).tobytes()
+        assert back_rate == rate
 
     @pytest.mark.parametrize("rate", [float("inf"), float("nan"), 0.0, -1.0])
     def test_discrete_writer_rejects_a_bad_rate(self, tmp_path, rate):
@@ -236,7 +230,7 @@ class TestIORoundTrips:
             cio.write_histogram(*bins, float_counts, tmp / "hist_float.csv")
             assert read_bytes(tmp / "rec.csv") == reference_recording_csv(rec).encode()
             assert read_bytes(tmp / "ideal.csv") == reference_idealisation_csv(ideal).encode()
-            assert read_bytes(tmp / "disc.csv") == reference_discrete_csv(trace, rate).encode()
+            assert read_bytes(tmp / "disc.csv") == reference_discrete_csv(trace).encode()
             assert read_bytes(tmp / "hist_int.csv") == \
                 reference_histogram_csv(*bins, int_counts).encode()
             assert read_bytes(tmp / "hist_float.csv") == \
@@ -324,22 +318,34 @@ class TestIORoundTrips:
         assert (back.alpha, back.n_switches, back.feasible, back.sample_rate) == \
             (alpha, len(gaps) - 1, feasible, rate)
 
-    @given(L=st.integers(min_value=1, max_value=20), data=st.data(),
+    @given(L=st.integers(min_value=1, max_value=20),
+           runs=st.lists(st.tuples(st.integers(min_value=0, max_value=20),
+                                   st.integers(min_value=1, max_value=30)),
+                         min_size=1, max_size=40),
+           dtype=st.sampled_from([np.int8, np.uint8, np.int64]),
            offset=st.floats(allow_nan=False, allow_infinity=False),
            spacing=st.floats(min_value=1e-300, max_value=1e300),
            sse=st.floats(min_value=0.0, max_value=1e300),
-           rate=st.floats(min_value=1e-3, max_value=1e6))
-    @settings(max_examples=60, deadline=None)
-    def test_discrete_round_trip_bit_for_bit(self, L, data, offset, spacing, sse, rate):
-        values = data.draw(st.lists(st.integers(min_value=0, max_value=L),
-                                    min_size=1, max_size=60))
-        trace = DiscreteTrace(values=np.array(values),
+           rate=st.one_of(st.sampled_from([5e-324, 1e-300, 1e-3, 1e300, 1.7e308]),
+                          st.floats(min_value=5e-324, max_value=1.7e308)))
+    @example(L=1, runs=[(1, 1)], dtype=np.int8, offset=0.0, spacing=1.0, sse=0.0, rate=1.0)
+    @example(L=20, runs=[(20, 30)], dtype=np.uint8, offset=-2.5, spacing=1e-300, sse=1e300,
+             rate=5e-324)
+    @settings(max_examples=150, deadline=None)
+    def test_discrete_round_trip_bit_for_bit(self, L, runs, dtype, offset, spacing, sse, rate):
+        # n = 1 and a single run among the traces; drawn runs of equal counts
+        # side by side are one run in the file
+        counts, lengths = np.array(runs).T
+        values = np.repeat(counts % (L + 1), lengths).astype(dtype)
+        trace = DiscreteTrace(values=values,
                               ladder=LevelLadder(L=L, offset=offset, spacing=spacing, sse=sse))
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "disc.csv"
             cio.write_discrete(trace, rate, path)
+            text = path.read_text()
             back, back_rate = cio.read_discrete(path)
-        assert back.values.tobytes() == trace.values.tobytes()
+        assert text == reference_discrete_csv(trace)
+        assert back.values.tobytes() == values.astype(np.int64).tobytes()
         assert back.ladder.L == L
         assert (np.array([back.ladder.offset, back.ladder.spacing, back.ladder.sse]).tobytes()
                 == np.array([offset, spacing, sse]).tobytes())
@@ -694,6 +700,90 @@ class TestCli:
                                       str(tmp_path / "out")])
         assert result.exit_code == 2
         assert "cannot read" in result.output
+
+    @pytest.mark.parametrize("header", [True, False])
+    def test_per_sample_discrete_input_infers_as_its_runs(self, runner, tmp_path, header):
+        # a per-sample trace, with or without its header (a user's, or a
+        # discrete.csv written before runs), reads to the values of the run
+        # file of the same trace, and infer writes the same report on both
+        runs = self._staged_inputs(tmp_path)["infer"]
+        assert runs.read_text().startswith("first_sample,last_sample,open_channels\n")
+        trace, rate = cio.read_discrete(runs)
+        samples = tmp_path / "samples" / "discrete.csv"
+        samples.parent.mkdir()
+        samples.write_text(per_sample_discrete_csv(trace, rate, header))
+        cio.meta_path(samples).write_bytes(cio.meta_path(runs).read_bytes())
+        back, back_rate = cio.read_discrete(samples)
+        assert back.values.tobytes() == trace.values.tobytes() and back.ladder == trace.ladder
+        assert back_rate == rate
+        for path, out in ((runs, tmp_path / "a"), (samples, tmp_path / "b")):
+            result = runner.invoke(main, ["infer", "--input", str(path), "--out", str(out)])
+            assert result.exit_code == 0, result.output
+        assert read_bytes(tmp_path / "a" / "report.json") == \
+            read_bytes(tmp_path / "b" / "report.json")
+
+    @pytest.mark.parametrize("rows", [
+        "2,3,0\n4,9,1\n", "0,3,0\n4,9,1\n", "1,3,0\n5,9,1\n", "1,3,0\n3,9,1\n",
+        "1,3,0\n4,3,1\n4,9,0\n", "4,9,1\n1,3,0\n",
+    ], ids=["from-2", "from-0", "gap", "overlap", "reversed", "out-of-order"])
+    def test_runs_that_do_not_tile_exit_code(self, runner, tmp_path, rows):
+        # run rows must tile samples 1..n in order; "reversed" ends a run
+        # before it starts but still chains its neighbours
+        src = self._staged_inputs(tmp_path)["infer"]
+        src.write_text("first_sample,last_sample,open_channels\n" + rows)
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["infer", "--input", str(src), "--out", str(out)])
+        assert result.exit_code == 2
+        assert "do not tile samples 1..n" in result.output
+        assert sorted(p.name for p in out.iterdir()) == ["run_config.json"]
+
+    @pytest.mark.parametrize("command, edit", [
+        ("idealise", [1, 2]), ("idealise", "x"), ("idealise", {"kernel": None}),
+        ("idealise", {"truth": None}), ("discretise", [1]), ("infer", {"ladder": None}),
+    ], ids=["recording-list", "recording-string", "null-kernel", "null-truth",
+            "idealisation-list", "null-ladder"])
+    def test_sidecar_of_the_wrong_shape_exit_code(self, runner, tmp_path, command, edit):
+        # a list or string in place of the sidecar object, or null in place
+        # of one of its objects, is unreadable input, not a traceback
+        if command == "idealise":
+            src = tmp_path / "rec.csv"
+            sidecar_recording(src)
+        else:
+            src = self._staged_inputs(tmp_path)[command]
+        meta = cio.load_json(cio.meta_path(src))
+        cio.dump_json({**meta, **edit} if isinstance(edit, dict) else edit, cio.meta_path(src))
+        out = tmp_path / "out"
+        result = runner.invoke(main, [command, "--input", str(src), "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert "cannot read" in result.output
+        assert sorted(p.name for p in out.iterdir()) == ["run_config.json"]
+
+    @pytest.mark.parametrize("L, code", [(2.9, 2), (2.5, 2), (float("inf"), 2), (2, 0), (2.0, 0)])
+    def test_sidecar_L_must_be_whole(self, runner, tmp_path, L, code):
+        # a ladder of 2.9 channels used to be read as 2 without a word, and
+        # an infinite one ended in OverflowError
+        src = self._staged_inputs(tmp_path)["infer"]
+        meta = cio.load_json(cio.meta_path(src))
+        meta["ladder"]["L"] = L
+        cio.dump_json(meta, cio.meta_path(src))
+        result = runner.invoke(main, ["infer", "--input", str(src), "--out", str(tmp_path / "out")])
+        assert result.exit_code == code, result.output
+        if code:
+            assert f"L must be an integer, got {L!r}" in result.output
+
+    def test_runs_beyond_memory_exit_code(self, runner, tmp_path, monkeypatch):
+        # a run file may claim any number of samples; expanding more than
+        # memory holds is unreadable input.  The reader is replaced, since a
+        # real allocation of that size is not something to try in a test
+        src = self._staged_inputs(tmp_path)["infer"]
+
+        def too_large(path):
+            raise MemoryError("Unable to allocate 72.8 TiB")
+
+        monkeypatch.setattr(cio, "read_discrete", too_large)
+        result = runner.invoke(main, ["infer", "--input", str(src), "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2
+        assert "cannot read" in result.output and "Unable to allocate" in result.output
 
     def test_stage_failure_keeps_partial_artifacts(self, runner, tmp_path):
         # a one-sample recording idealises fine but cannot be fitted; the

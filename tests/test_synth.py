@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coopchan import io as cio
-from coopchan.core import StepFunction, sample_times
+from coopchan.core import StepFunction, run_starts, sample_times
 from coopchan.idealise import Idealisation
 from coopchan.io import kernel_to_dict
 from coopchan.model import ParamVector
@@ -204,6 +204,14 @@ class TestSampleGrid:
         expected = np.repeat(levels, np.diff(starts, append=n))
         np.testing.assert_array_equal(step.per_sample(rate), expected)
         np.testing.assert_array_equal(reference_sample(step, sample_times(n, rate)), expected)
+
+    @given(segments=grid_segments())
+    @settings(max_examples=200, deadline=None)
+    def test_run_starts_are_the_segment_starts(self, segments):
+        starts, levels, n = segments
+        assert run_starts(np.repeat(levels, np.diff(starts, append=n))).tobytes() == \
+            starts.tobytes()
+        assert run_starts([]).size == 0
 
     @given(segments=grid_segments(), rate=st.sampled_from(GRID_RATES), data=st.data())
     @settings(max_examples=200, deadline=None)
