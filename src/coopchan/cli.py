@@ -99,6 +99,15 @@ def _checked(resolved: dict, key: str, ok, bound: str):
     return value
 
 
+def _built(flags: str, make, *args, **kwargs):
+    """``make(*args, **kwargs)``, a constructor fed the values of ``flags``:
+    the ValueError of a value it rejects is invalid configuration."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as err:
+        raise click.UsageError(f"invalid {flags}: {err}") from err
+
+
 def _int_at_least(resolved: dict, key: str, least: int) -> int | None:
     return _checked(resolved, key, lambda v: v >= least, f"at least {least}")
 
@@ -174,13 +183,17 @@ def simulate(resolved, out):
     n = _int_at_least(resolved, "n", 1)
     order = _int_at_least(resolved, "bessel_order", 1)
     seed = _int_at_least(resolved, "seed", 0)
+    _checked(resolved, "offset", np.isfinite, "finite")
+    _checked(resolved, "spacing", lambda v: 0.0 < v < np.inf, "finite and positive")
     theta = _parse_theta(resolved["theta"], resolved["channels"])
-    kernel = make_kernel(resolved["kernel_kind"], resolved["rate"], order=order,
-                         cutoff=resolved["bessel_cutoff"])
+    kernel = _built("--bessel-order/--bessel-cutoff", make_kernel, resolved["kernel_kind"],
+                    resolved["rate"], order=order, cutoff=resolved["bessel_cutoff"])
     if resolved["noise_kind"] == "none":
         noise = None
     else:
-        noise = NoiseSpec(
+        noise = _built(
+            "--sigma/--cauchy-scale/--mixture-weight",
+            NoiseSpec,
             kind=resolved["noise_kind"],
             sigma=resolved["sigma"],
             scale=resolved["cauchy_scale"],
@@ -298,6 +311,8 @@ def pipeline(resolved, out):
     _alpha(resolved)
     _tolerance(resolved)
     sweep = resolved["l_sweep"]
+    if sweep and L is not None:
+        raise click.UsageError("--L and --L-sweep conflict: give one channel count or a range")
     if sweep:
         try:
             lo, hi = (int(v) for v in sweep.split(":"))

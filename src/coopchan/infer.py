@@ -21,7 +21,6 @@ from .model import (
     TransitionMatrix,
     classify_cooperativity,
     _row_params,
-    sum_leading,
     transition_rows,
 )
 
@@ -123,10 +122,11 @@ def _residuals(L: int, i: int, target: np.ndarray, lam: np.ndarray, eta: np.ndar
     The objective, the grid start and the row solves all score rows here, and
     a candidate scores the same bits alone as inside a block, so their values
     compare exactly.  The squared deviations come entry-first from
-    ``transition_rows`` and are summed by ``sum_leading``, which gives the
-    bits of summing them along a contiguous last axis."""
-    rows = transition_rows(L, i, lam, eta)
-    vals = sum_leading((rows - target[:, None, None, None]) ** 2)
+    ``transition_rows`` and are added as whole arrays, entry 0 first:
+    ``ndarray.sum(axis=0)`` would sum a lone candidate's contiguous block
+    pairwise and a larger block's one entry after another."""
+    sq = (transition_rows(L, i, lam, eta) - target[:, None, None, None]) ** 2
+    vals = sum(sq[1:], sq[0])
     if not plus:
         return vals
     return np.where(lam[:, :, None] - 1.0 + eta[:, None, :] >= 0, vals, np.inf)

@@ -43,6 +43,8 @@ class Kernel:
             raise ValueError("sample_rate must be finite and positive")
         if taps.ndim != 1 or len(taps) == 0:
             raise ValueError("taps must be a nonempty vector")
+        if not np.isfinite(taps).all():
+            raise ValueError("taps must be finite")
         if (taps < 0).any():
             raise ValueError("taps must be nonnegative")
         if abs(taps.sum() - 1.0) > 1e-12:
@@ -142,8 +144,14 @@ def _bessel_taps(order: int, cutoff: float, sample_rate: float) -> np.ndarray:
     # periods of the cutoff frequency
     n_grid = max(16, int(np.ceil(8 * sample_rate / cutoff)))
     t_grid = np.arange(n_grid) / sample_rate
-    _, h = scipy.signal.impulse((b, a), T=t_grid)
+    # a high order overflows the state-space response (from order 34 at a
+    # 1 kHz cutoff): an invalid order, not a warning and NaN taps
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, h = scipy.signal.impulse((b, a), T=t_grid)
     h = np.asarray(h, dtype=float)
+    if not np.isfinite(h).all():
+        raise ValueError(f"Bessel order {order} at cutoff {cutoff!r} Hz overflows "
+                         "its impulse response")
     peak = int(np.argmax(h))
     negative = np.nonzero(h[peak:] <= 0.0)[0]
     end = peak + int(negative[0]) if len(negative) else len(h)

@@ -48,23 +48,31 @@ def reference_row_tables(L, i):
     return coeff, e_eta, e_eta_c, np.clip(L - j - r, 0, None), np.clip(jr, 0, None)
 
 
+def term_sum(x):
+    """Sum over the last axis one term after another, in index order: the
+    order the evaluator adds split terms and squared deviations in.  A zero
+    for a split that cannot reach an entry leaves each partial sum as it
+    is."""
+    return np.cumsum(x, axis=-1)[..., -1]
+
+
 def reference_transition_rows(L, i, lam, eta):
     """Row i at every pair of a lam axis (S, A) and an eta axis (S, B) per
-    block, (S, A, B, L+1): the split terms laid out last and summed with
-    ``.sum(axis=-1)``, the layout the entry-first evaluator must reproduce
-    bit for bit."""
+    block, (S, A, B, L+1): the split terms laid out last, zeros where a split
+    cannot reach an entry, and summed in term order, the bits the
+    entry-first evaluator must reproduce."""
     coeff, e_eta, e_eta_c, e_lam, e_lam_c = reference_row_tables(L, i)
     lam = np.asarray(lam, dtype=float)[:, :, None, None, None]
     eta = np.asarray(eta, dtype=float)[:, None, :, None, None]
     eta_terms = coeff * eta ** e_eta * (1.0 - eta) ** e_eta_c
     terms = eta_terms * lam ** e_lam * (1.0 - lam) ** e_lam_c
-    return terms.sum(axis=-1)
+    return term_sum(terms)
 
 
 def reference_residuals(L, i, target, lam, eta, plus):
     """Row i's residual at every pair of a block of axes, (S, A, B), summed
-    over the last axis of the split-last rows."""
-    vals = ((reference_transition_rows(L, i, lam, eta) - target) ** 2).sum(axis=-1)
+    in term order over the last axis of the split-last rows."""
+    vals = term_sum((reference_transition_rows(L, i, lam, eta) - target) ** 2)
     if not plus:
         return vals
     return np.where(lam[:, :, None] - 1.0 + eta[:, None, :] >= 0, vals, np.inf)
@@ -72,8 +80,8 @@ def reference_residuals(L, i, target, lam, eta, plus):
 
 def reference_rows(L, i, lam, eta):
     """Row i of the transition matrix at paired candidates, (len(lam), L+1):
-    four powers per pair, multiplied left to right, the reference the axis
-    evaluator must reproduce bit for bit."""
+    four powers per pair, multiplied left to right and summed in term order,
+    the reference the axis evaluator must reproduce bit for bit."""
     coeff, e_eta, e_eta_c, e_lam, e_lam_c = reference_row_tables(L, i)
     lam = np.asarray(lam, dtype=float)[:, None, None]
     eta = np.asarray(eta, dtype=float)[:, None, None]
@@ -84,7 +92,7 @@ def reference_rows(L, i, lam, eta):
         * lam ** e_lam[None]
         * (1.0 - lam) ** e_lam_c[None]
     )
-    return terms.sum(axis=2)
+    return term_sum(terms)
 
 
 def reference_grid_init(q_hat, L, grid=DEFAULT_GRID):
@@ -99,7 +107,7 @@ def reference_grid_init(q_hat, L, grid=DEFAULT_GRID):
         for lv in grid if i < L else [0.0]:
             for ev in grid if i >= 1 else [0.0]:
                 row = reference_rows(L, i, [lv], [ev])
-                val = float(((row - q_hat.entries[i]) ** 2).sum())
+                val = float(term_sum((row - q_hat.entries[i]) ** 2)[0])
                 if L % 2 == 0 and i == L // 2 and not lv - 1.0 + ev >= 0:
                     val = np.inf
                 scored.append((val, lv, ev))
@@ -161,7 +169,7 @@ def reference_row_solve(L, i, target, lam_i, eta_i, plus):
 
     def residuals(lam_c, eta_c):
         rows = reference_rows(L, i, lam_c, eta_c)
-        vals = ((rows - target[None, :]) ** 2).sum(axis=1)
+        vals = term_sum((rows - target[None, :]) ** 2)
         if plus:
             vals = np.where(lam_c - 1.0 + eta_c >= 0, vals, np.inf)
         return vals
@@ -352,7 +360,7 @@ class TestRowResidual:
                  for s in range(S) for a in range(A) for b in range(B)]
         assert scored.tobytes() == np.array(alone).tobytes()
         ll, ee = pairs(lam, eta)
-        paired = ((reference_rows(L, i, ll, ee) - target[None, :]) ** 2).sum(axis=1)
+        paired = term_sum((reference_rows(L, i, ll, ee) - target[None, :]) ** 2)
         on_branch = (ll - 1.0 + ee >= 0) | (not plus)
         assert scored.tobytes() == np.where(on_branch, paired, np.inf).tobytes()
 
@@ -376,7 +384,7 @@ class TestRowResidual:
 
     @pytest.mark.parametrize("L, i", [(140, 3), (260, 130), (300, 150), (300, 200)])
     def test_long_rows_match_the_split_last_reference(self, L, i):
-        # more than 128 splits are summed in halves, as numpy sums them
+        # hundreds of splits are still added one after another
         rng = np.random.default_rng(L + i)
         lam, eta = rng.random((2, 3)), rng.random((2, 5))
         assert (np.moveaxis(transition_rows(L, i, lam, eta), 0, -1).tobytes()

@@ -612,6 +612,16 @@ class TestCli:
         assert "empty range" in result.output
         assert sorted(p.name for p in out.iterdir()) == ["run_config.json"]
 
+    def test_l_with_l_sweep_exit_code(self, runner, tmp_path):
+        path = tmp_path / "rec.csv"
+        sidecar_recording(path)
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["pipeline", "--input", str(path), "--L", "3",
+                                      "--L-sweep", "1:2", "--out", str(out)])
+        assert result.exit_code == 2
+        assert "--L and --L-sweep conflict" in result.output
+        assert sorted(p.name for p in out.iterdir()) == ["run_config.json"]
+
     def test_invalid_config_exit_code(self, runner, tmp_path):
         result = runner.invoke(main, [
             "simulate", "--theta", "0.5,0.5,0.5", "--out", str(tmp_path),
@@ -1015,6 +1025,57 @@ class TestCli:
                                       "--rate", rate, "--out", str(out)])
         assert result.exit_code == 2
         assert "--rate must be finite and positive" in result.output
+        assert sorted(p.name for p in out.iterdir()) == ["run_config.json"]
+
+    @pytest.mark.parametrize("args, flag", [
+        (["--bessel-cutoff", "0"], "--bessel-cutoff"),
+        (["--bessel-cutoff", "500"], "--bessel-cutoff"),
+        (["--bessel-cutoff", "nan"], "--bessel-cutoff"),
+        (["--rate", "10000", "--bessel-order", "40"], "--bessel-order"),
+        (["--sigma", "-1"], "--sigma"),
+        (["--sigma", "nan"], "--sigma"),
+        (["--noise", "mixture", "--sigma", "0"], "--sigma"),
+        (["--noise", "cauchy", "--cauchy-scale", "0"], "--cauchy-scale"),
+        (["--mixture-weight", "2"], "--mixture-weight"),
+        (["--spacing", "0"], "--spacing"),
+        (["--spacing", "nan"], "--spacing"),
+        (["--offset", "nan"], "--offset"),
+        (["--offset", "inf"], "--offset"),
+    ])
+    def test_simulate_bad_option_value_exit_code(self, runner, tmp_path, args, flag):
+        # a value the kernel, the noise or the ladder would reject is invalid
+        # configuration, found before the chain is simulated
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["simulate", "--theta", "0.9,0.9", "--n", "10",
+                                      "--rate", "1000", *args, "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert flag in result.output
+        assert sorted(p.name for p in out.iterdir()) == ["run_config.json"]
+
+    @pytest.mark.parametrize("args", [
+        ["--noise", "cauchy", "--sigma", "-1"],
+        ["--noise", "none", "--sigma", "nan"],
+        ["--cauchy-scale", "0"],
+        ["--kernel", "identity", "--bessel-cutoff", "0"],
+    ])
+    def test_simulate_accepts_values_it_does_not_use(self, runner, tmp_path, args):
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["simulate", "--theta", "0.9,0.9", "--n", "10",
+                                      "--rate", "1000", *args, "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        assert (out / "recording.csv").exists()
+
+    @pytest.mark.parametrize("command", ["pipeline", "idealise"])
+    def test_sidecar_with_non_finite_taps_exit_code(self, runner, tmp_path, command):
+        path = tmp_path / "rec.csv"
+        sidecar_recording(path)
+        meta = cio.load_json(cio.meta_path(path))
+        meta["kernel"]["taps"] = [float("nan"), 0.5, 0.5]
+        cio.dump_json(meta, cio.meta_path(path))
+        out = tmp_path / "out"
+        result = runner.invoke(main, [command, "--input", str(path), "--out", str(out)])
+        assert result.exit_code == 2
+        assert "taps must be finite" in result.output
         assert sorted(p.name for p in out.iterdir()) == ["run_config.json"]
 
     @pytest.mark.parametrize("rate", ["5000", "inf", "nan"])

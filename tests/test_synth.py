@@ -136,6 +136,19 @@ class TestKernels:
         with pytest.raises(ValueError, match="taps sum to .*, not 1"):
             Kernel("custom", np.array([0.5, 0.4]), 1.0)
 
+    @pytest.mark.parametrize("order", [34, 40])
+    def test_bessel_order_that_overflows_is_invalid(self, order):
+        # raised as ValueError, with no overflow warning on the way (an
+        # error under this suite's warning filters) and no NaN taps
+        with pytest.raises(ValueError, match=f"Bessel order {order} .* overflows"):
+            _bessel_taps.__wrapped__(order, 1_000.0, 10_000.0)
+        assert len(make_kernel("bessel", 10_000.0, order=31, cutoff=1_000.0).taps) > 1
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_taps_are_rejected(self, bad):
+        with pytest.raises(ValueError, match="taps must be finite"):
+            Kernel("custom", np.array([bad, 0.5, 0.5]), 1.0)
+
     def test_decimation_stride(self):
         assert make_kernel("identity", 1.0).decimation_stride() == 1
         assert make_kernel("bspline2", 1.0).decimation_stride() == 2
