@@ -42,8 +42,8 @@ def _load_config(ctx, param, config_path: str | None) -> None:
         return
     try:
         cfg = cio.load_json(config_path)
-    except FileNotFoundError as err:
-        raise click.UsageError(f"config file not found: {err}") from err
+    except OSError as err:
+        raise click.UsageError(f"cannot read config file: {err}") from err
     except ValueError as err:
         raise click.UsageError(f"config file is not valid JSON: {err}") from err
     if not isinstance(cfg, dict):
@@ -89,16 +89,6 @@ def _parse_theta(theta_str: str | None, channels: int | None) -> ParamVector:
         raise click.UsageError(str(err)) from err
 
 
-def _checked(resolved: dict, key: str, ok, bound: str):
-    """Option ``key``, None when unset; a value ``ok`` rejects (NaN fails
-    every comparison) is invalid configuration."""
-    value = resolved[key]
-    if value is not None and not ok(value):
-        flag = next(p.opts[0] for p in click.get_current_context().command.params if p.name == key)
-        raise click.UsageError(f"{flag} must be {bound}, got {value}")
-    return value
-
-
 def _built(flags: str, make, *args, **kwargs):
     """``make(*args, **kwargs)``, a constructor fed the values of ``flags``:
     the ValueError of a value it rejects is invalid configuration."""
@@ -108,16 +98,32 @@ def _built(flags: str, make, *args, **kwargs):
         raise click.UsageError(f"invalid {flags}: {err}") from err
 
 
-def _int_at_least(resolved: dict, key: str, least: int) -> int | None:
-    return _checked(resolved, key, lambda v: v >= least, f"at least {least}")
+class _FloatRange(click.FloatRange):
+    """click.FloatRange that rejects NaN too, which no bound catches: NaN fails every comparison."""
+
+    def convert(self, value, param, ctx):
+        rv = super().convert(value, param, ctx)
+        if np.isnan(rv):
+            self.fail(f"{rv} is not in the range {self._describe_range()}.", param, ctx)
+        return rv
 
 
-def _alpha(resolved: dict) -> float:
-    return _checked(resolved, "alpha", lambda v: 0.0 < v < 1.0, "in (0, 1)")
+_POSITIVE = click.IntRange(min=1)
+_NONNEGATIVE = click.IntRange(min=0)
+_FINITE_POSITIVE = _FloatRange(0.0, np.inf, min_open=True, max_open=True)
 
-
-def _tolerance(resolved: dict) -> float:
-    return _checked(resolved, "tolerance", lambda v: v > 0.0, "positive")
+# options that more than one command takes
+_alpha_option = click.option("--alpha", type=_FloatRange(0.0, 1.0, min_open=True, max_open=True),
+                             default=0.1, help="Over-segmentation level.")
+_rate_option = click.option("--rate", type=float, default=None,
+                            help="Sampling rate when no sidecar metadata exists.")
+_plots_option = click.option("--plots", "want_plots", is_flag=True, help="Also draw SVG figures.")
+_L_option = click.option("--L", "channels", type=_POSITIVE, default=None,
+                         help="Skip channel-count selection.")
+_max_L_option = click.option("--max-L", "max_l", type=_POSITIVE, default=20,
+                             help="Cap for selected L.")
+_tolerance_option = click.option("--tolerance", type=_FloatRange(0.0, min_open=True), default=1e-3,
+                                 help="Verdict ratio tolerance.")
 
 
 @click.group(context_settings={"show_default": True})
@@ -162,13 +168,14 @@ def _command(fn):
 @_command
 @click.option("--theta", default=None, help="2L stay probabilities, comma separated.")
 @click.option("--channels", type=int, default=None, help="Channel count L (checked against --theta).")
-@click.option("--n", type=int, default=1200, help="Number of samples.")
-@click.option("--rate", type=float, default=10_000.0, help="Sampling rate in Hz.")
-@click.option("--offset", type=float, default=0.0, help="Baseline conductance.")
-@click.option("--spacing", type=float, default=1.0, help="Conductance per open channel.")
+@click.option("--n", type=_POSITIVE, default=1200, help="Number of samples.")
+@click.option("--rate", type=_FINITE_POSITIVE, default=10_000.0, help="Sampling rate in Hz.")
+@click.option("--offset", type=_FloatRange(-np.inf, np.inf, min_open=True, max_open=True),
+              default=0.0, help="Baseline conductance.")
+@click.option("--spacing", type=_FINITE_POSITIVE, default=1.0, help="Conductance per open channel.")
 @click.option("--kernel", "kernel_kind", type=click.Choice(["identity", "bspline2", "bessel"]),
               default="bessel", help="Acquisition low-pass kernel.")
-@click.option("--bessel-order", type=int, default=4)
+@click.option("--bessel-order", type=_POSITIVE, default=4)
 @click.option("--bessel-cutoff", type=float, default=None, help="Hz (default 0.1 * rate).")
 @click.option("--noise", "noise_kind", type=click.Choice(["gaussian", "cauchy", "mixture", "none"]),
               default="gaussian", help="Noise model.")
@@ -176,18 +183,13 @@ def _command(fn):
 @click.option("--cauchy-scale", type=float, default=0.05, help="Cauchy scale.")
 @click.option("--mixture-weight", type=float, default=0.85, help="Gaussian weight.")
 @click.option("--raw-noise", is_flag=True, help="Skip filtering the noise stream.")
-@click.option("--seed", type=int, default=0, help="RNG seed.")
+@click.option("--seed", type=_NONNEGATIVE, default=0, help="RNG seed.")
 def simulate(resolved, out):
     """Simulate a recording and write recording.csv plus metadata."""
-    _checked(resolved, "rate", lambda v: 0.0 < v < np.inf, "finite and positive")
-    n = _int_at_least(resolved, "n", 1)
-    order = _int_at_least(resolved, "bessel_order", 1)
-    seed = _int_at_least(resolved, "seed", 0)
-    _checked(resolved, "offset", np.isfinite, "finite")
-    _checked(resolved, "spacing", lambda v: 0.0 < v < np.inf, "finite and positive")
     theta = _parse_theta(resolved["theta"], resolved["channels"])
     kernel = _built("--bessel-order/--bessel-cutoff", make_kernel, resolved["kernel_kind"],
-                    resolved["rate"], order=order, cutoff=resolved["bessel_cutoff"])
+                    resolved["rate"], order=resolved["bessel_order"],
+                    cutoff=resolved["bessel_cutoff"])
     if resolved["noise_kind"] == "none":
         noise = None
     else:
@@ -200,10 +202,11 @@ def simulate(resolved, out):
             weight_gaussian=resolved["mixture_weight"],
             filtered=not resolved["raw_noise"],
         )
-    rec = synthesize_recording(theta, n, resolved["rate"], offset=resolved["offset"],
-                               spacing=resolved["spacing"], kernel=kernel, noise=noise, seed=seed)
+    rec = synthesize_recording(theta, resolved["n"], resolved["rate"], offset=resolved["offset"],
+                               spacing=resolved["spacing"], kernel=kernel, noise=noise,
+                               seed=resolved["seed"])
     cio.write_recording(rec, out / "recording.csv")
-    click.echo(f"wrote {out / 'recording.csv'} ({n} samples)")
+    click.echo(f"wrote {out / 'recording.csv'} ({resolved['n']} samples)")
 
 
 def _plot_idealisation(path, rec, ideal, title: str) -> None:
@@ -213,32 +216,29 @@ def _plot_idealisation(path, rec, ideal, title: str) -> None:
 
 @_command
 @click.option("--input", "input_path", required=True, type=click.Path())
-@click.option("--alpha", type=float, default=0.1, help="Over-segmentation level.")
-@click.option("--rate", type=float, default=None, help="Sampling rate when no sidecar metadata exists.")
-@click.option("--plots", "want_plots", is_flag=True)
+@_alpha_option
+@_rate_option
+@_plots_option
 def idealise(resolved, out):
     """Fit a minimum-switch step function to a recording."""
-    alpha = _alpha(resolved)
     rec = _read_input(cio.read_recording, resolved["input_path"], resolved["rate"])
-    ideal = muscle_fit(rec, alpha=alpha)
+    ideal = muscle_fit(rec, alpha=resolved["alpha"])
     cio.write_idealisation(ideal, out / "idealisation.csv")
     if resolved["want_plots"]:
         _plot_idealisation(out / "idealisation.svg", rec, ideal,
-                           f"idealisation (alpha={alpha}, switches={ideal.n_switches})")
+                           f"idealisation (alpha={resolved['alpha']}, switches={ideal.n_switches})")
     click.echo(f"switches: {ideal.n_switches} feasible: {ideal.feasible}")
 
 
 @_command
 @click.option("--input", "input_path", required=True, type=click.Path(),
               help="idealisation.csv from the idealise command.")
-@click.option("--L", "channels", type=int, default=None, help="Skip channel-count selection.")
-@click.option("--max-L", "max_l", type=int, default=20, help="Cap for selected L.")
+@_L_option
+@_max_L_option
 def discretise(resolved, out):
     """Map idealised levels to open-channel counts."""
-    L = _int_at_least(resolved, "channels", 1)
-    max_L = _int_at_least(resolved, "max_l", 1)
     ideal = _read_input(cio.read_idealisation, resolved["input_path"])
-    trace = discretise_idealisation(ideal, L, max_L=max_L)
+    trace = discretise_idealisation(ideal, resolved["channels"], max_L=resolved["max_l"])
     cio.write_discrete(trace, ideal.sample_rate, out / "discrete.csv")
     ladder = trace.ladder
     click.echo(f"L: {ladder.L} offset: {ladder.offset:.6g} spacing: {ladder.spacing:.6g}")
@@ -247,13 +247,12 @@ def discretise(resolved, out):
 @_command
 @click.option("--input", "input_path", required=True, type=click.Path(),
               help="discrete.csv from the discretise command.")
-@click.option("--tolerance", type=float, default=1e-3, help="Verdict ratio tolerance.")
+@_tolerance_option
 def infer(resolved, out):
     """Fit the coupled-chain parameters and classify cooperativity."""
-    tolerance = _tolerance(resolved)
     trace, _ = _read_input(cio.read_discrete, resolved["input_path"])
     fit = mde_fit(empirical_transition_matrix(trace), trace.ladder.L)
-    report = cooperativity_report(fit.theta_hat, tol=tolerance)
+    report = cooperativity_report(fit.theta_hat, tol=resolved["tolerance"])
     cio.dump_json(cio.report_to_dict(report, fit.diagnostics, fit.objective),
                   out / "report.json")
     click.echo(f"verdict: {report.verdict.value} objective: {fit.objective:.3e}")
@@ -296,20 +295,17 @@ def _pipeline_once(rec, resolved, out: Path, L_override, suffix=""):
 
 @_command
 @click.option("--input", "input_path", required=True, type=click.Path())
-@click.option("--alpha", type=float, default=0.1)
-@click.option("--L", "channels", type=int, default=None, help="Skip channel-count selection.")
+@_alpha_option
+@_L_option
 @click.option("--L-sweep", "l_sweep", default=None, metavar="A:B",
               help="Run once per L in the range, e.g. 2:6.")
-@click.option("--max-L", "max_l", type=int, default=20)
-@click.option("--tolerance", type=float, default=1e-3)
-@click.option("--rate", type=float, default=None)
-@click.option("--plots", "want_plots", is_flag=True)
+@_max_L_option
+@_tolerance_option
+@_rate_option
+@_plots_option
 def pipeline(resolved, out):
     """Full analysis: idealise, discretise, infer, report."""
-    L = _int_at_least(resolved, "channels", 1)
-    _int_at_least(resolved, "max_l", 1)
-    _alpha(resolved)
-    _tolerance(resolved)
+    L = resolved["channels"]
     sweep = resolved["l_sweep"]
     if sweep and L is not None:
         raise click.UsageError("--L and --L-sweep conflict: give one channel count or a range")
@@ -351,11 +347,11 @@ def markov_test(resolved, out):
 
 @_command
 @click.option("--input", "input_path", required=True, type=click.Path())
-@click.option("--state", type=int, default=None, help="Single state (default: all visited).")
-@click.option("--plots", "want_plots", is_flag=True)
+@click.option("--state", type=_NONNEGATIVE, default=None, help="Single state (default: all visited).")
+@_plots_option
 def dwell(resolved, out):
     """Per-state dwell-time histograms with exponential fits."""
-    state = _int_at_least(resolved, "state", 0)
+    state = resolved["state"]
     trace, rate = _read_input(cio.read_discrete, resolved["input_path"])
     states = ([state] if state is not None
               else sorted(np.unique(trace.values).tolist()))
@@ -383,16 +379,15 @@ def dwell(resolved, out):
 
 @_command
 @click.argument("study", type=click.Choice(list(STUDY_TABLES)))
-@click.option("--reps", type=int, default=None, help="Repetitions per cell (study-specific default).")
-@click.option("--seed", type=int, default=0, help="Base seed.")
-@click.option("--threads", type=int, default=1, help="Worker processes.")
+@click.option("--reps", type=_POSITIVE, default=None,
+              help="Repetitions per cell (study-specific default).")
+@click.option("--seed", type=_NONNEGATIVE, default=0, help="Base seed.")
+@click.option("--threads", type=_POSITIVE, default=1, help="Worker processes.")
 def reproduce(study, resolved, out):
     """Seeded Monte-Carlo studies; writes per-repetition CSV and a summary."""
     table, default_reps = STUDY_TABLES[study]
-    reps = _int_at_least(resolved, "reps", 1) or default_reps
-    threads = _int_at_least(resolved, "threads", 1)
-    seed = _int_at_least(resolved, "seed", 0)
-    lines, summary = table(study, reps, base_seed=seed, threads=threads)
+    lines, summary = table(study, resolved["reps"] or default_reps, base_seed=resolved["seed"],
+                           threads=resolved["threads"])
     (out / f"{study}.csv").write_text("\n".join(lines) + "\n")
     cio.dump_json(summary, out / f"{study}.json")
     click.echo(f"study {study} complete; summary in {out / (study + '.json')}")

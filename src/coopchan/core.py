@@ -47,6 +47,8 @@ class StepFunction:
             raise ValueError("need K+2 breakpoints for K+1 levels")
         if len(levels) == 0:
             raise ValueError("need at least one segment")
+        if not np.isfinite(levels).all():
+            raise ValueError("levels must be finite")
         if breaks[0] != 0.0:
             raise ValueError("first breakpoint must be 0")
         if not np.all(np.diff(breaks) > 0):

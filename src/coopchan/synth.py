@@ -165,6 +165,11 @@ def _bessel_taps(order: int, cutoff: float, sample_rate: float) -> np.ndarray:
     if len(lead) == 0:
         raise ValueError("Bessel impulse response degenerated to zero")
     taps = taps[lead[0]:]
+    # the taps end at the first sign change past the peak, so a negative tap
+    # lies before it, where a high order loses precision before it overflows
+    if (taps < 0).any():
+        raise ValueError(f"Bessel order {order} at cutoff {cutoff!r} Hz has an impulse "
+                         "response that is negative before its peak")
     taps = taps / taps.sum()
     taps.flags.writeable = False
     return taps
@@ -223,10 +228,7 @@ def convolve_sample(f: StepFunction, kernel: Kernel, sample_rate: float, n: int)
     if not 1 <= n <= len(s):
         raise ValueError(f"need 1 <= n <= {len(s)}, the samples up to t_max = {f.t_max}")
     s = s[:n]
-    m = len(kernel.taps)
-    if m == 1:
-        return s * kernel.taps[0]
-    ext = np.concatenate([np.full(m - 1, s[0]), s])
+    ext = np.concatenate([np.full(len(kernel.taps) - 1, s[0]), s])
     return np.convolve(ext, kernel.taps, mode="valid")
 
 
@@ -248,7 +250,7 @@ def sample_noise(spec: NoiseSpec, n: int, kernel: Kernel, seed) -> np.ndarray:
     symmetric about zero, so the filtered marginal keeps median zero for any
     kernel."""
     rng = np.random.Generator(np.random.Philox(_seed_sequence(seed)))
-    if spec.filtered and len(kernel.taps) > 1:
+    if spec.filtered:
         stream = _noise_stream(spec, n + len(kernel.taps) - 1, rng)
         return np.convolve(stream, kernel.taps, mode="valid")
     return _noise_stream(spec, n, rng)

@@ -6,6 +6,7 @@ import tempfile
 import warnings
 from pathlib import Path
 
+import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
@@ -595,8 +596,8 @@ class TestCli:
         out = tmp_path / "out"
         result = runner.invoke(main, [*command, "--seed", "-1", "--out", str(out)])
         assert result.exit_code == 2
-        assert "--seed" in result.output
-        assert sorted(p.name for p in out.iterdir()) == ["run_config.json"]
+        assert "Invalid value for '--seed'" in result.output
+        assert not out.exists()
 
     def test_empty_l_sweep_exit_code(self, runner, tmp_path):
         rec = synthesize_recording(ParamVector(1, [0.99], [0.99]), 500, 1000.0,
@@ -684,6 +685,15 @@ class TestCli:
                 "infer": tmp_path / "discrete.csv",
                 "markov-test": tmp_path / "discrete.csv",
                 "dwell": tmp_path / "discrete.csv"}
+
+    def _with_input(self, tmp_path, command):
+        """``command`` with an --input that its command can read."""
+        if command[0] in ("pipeline", "idealise"):
+            sidecar_recording(tmp_path / "rec.csv")
+            return [*command, "--input", str(tmp_path / "rec.csv")]
+        if command[0] in ("discretise", "dwell", "infer"):
+            return [*command, "--input", str(self._staged_inputs(tmp_path)[command[0]])]
+        return command
 
     def test_blank_line_in_staged_input_is_skipped(self, runner, tmp_path):
         # the staged readers skip blank lines as read_recording does, so a
@@ -920,6 +930,20 @@ class TestCli:
         assert result.exit_code == 0, result.output
         assert (out / "idealisation.csv").exists()
 
+    @pytest.mark.parametrize("stage", ["idealise", "discretise", "infer"])
+    def test_pipeline_options_read_as_the_stage_options(self, stage):
+        # an option pipeline shares with a stage command has the stage's
+        # --help line: its text, range and default
+        def help_lines(name):
+            with click.Context(main, show_default=True) as parent:
+                ctx = click.Context(main.commands[name], parent=parent, info_name=name)
+                return {p.name: p.get_help_record(ctx) for p in main.commands[name].params
+                        if p.name not in ("config", "out", "input_path")}
+        pipeline = help_lines("pipeline")
+        for name, line in help_lines(stage).items():
+            assert pipeline[name] == line, name
+            assert line[1], name
+
     def test_unknown_config_key_exit_code(self, runner, tmp_path):
         (tmp_path / "cfg.json").write_text(json.dumps({"theta": "0.9,0.9", "samples": 300}))
         out = tmp_path / "out"
@@ -974,18 +998,74 @@ class TestCli:
             "pipeline-alpha-nan", "infer-tolerance-0", "infer-tolerance-nan",
             "pipeline-tolerance-neg", "pipeline-tolerance-nan"])
     def test_integer_below_its_floor_exit_code(self, runner, tmp_path, command, flag):
-        # an option value outside its range, integer floors and the (0, 1)
-        # of --alpha and the positive --tolerance alike, exits 2 after the
-        # snapshot and before any stage
-        if command[0] in ("pipeline", "idealise"):
-            sidecar_recording(tmp_path / "rec.csv")
-            command = [*command, "--input", str(tmp_path / "rec.csv")]
-        elif command[0] in ("discretise", "dwell", "infer"):
-            command = [*command, "--input", str(self._staged_inputs(tmp_path)[command[0]])]
+        # an option value outside the range its type declares, integer
+        # floors and the (0, 1) of --alpha and the positive --tolerance
+        # alike, NaN included, exits 2 while click parses the options, so
+        # nothing is written; the start of --L-sweep is checked by the
+        # command, after the snapshot and before any stage
         out = tmp_path / "out"
-        result = runner.invoke(main, [*command, "--out", str(out)])
+        result = runner.invoke(main, [*self._with_input(tmp_path, command), "--out", str(out)])
         assert result.exit_code == 2
-        assert f"{flag} " in result.output
+        if flag == "--L-sweep":
+            assert "--L-sweep '0:1' starts below 1" in result.output
+            assert sorted(p.name for p in out.iterdir()) == ["run_config.json"]
+        else:
+            assert f"Invalid value for '{flag}'" in result.output
+            assert not out.exists()
+
+    @pytest.mark.parametrize("command, cfg, flag", [
+        (["idealise"], {"alpha": 1.5}, "--alpha"),
+        (["idealise"], {"alpha": float("nan")}, "--alpha"),
+        (["pipeline"], {"channels": 0}, "--L"),
+        (["pipeline"], {"tolerance": 0}, "--tolerance"),
+        (["discretise"], {"max_l": 0}, "--max-L"),
+        (["infer"], {"tolerance": float("nan")}, "--tolerance"),
+        (["dwell"], {"state": -1}, "--state"),
+        (["simulate", "--theta", "0.9,0.9"], {"n": 0}, "--n"),
+        (["simulate", "--theta", "0.9,0.9"], {"bessel_order": 0}, "--bessel-order"),
+        (["simulate", "--theta", "0.9,0.9"], {"rate": float("inf")}, "--rate"),
+        (["simulate", "--theta", "0.9,0.9"], {"spacing": -1.0}, "--spacing"),
+        (["simulate", "--theta", "0.9,0.9"], {"offset": float("nan")}, "--offset"),
+        (["simulate", "--theta", "0.9,0.9"], {"seed": -1}, "--seed"),
+        (["reproduce", "fdr-check"], {"reps": 0}, "--reps"),
+        (["reproduce", "fdr-check"], {"threads": 0}, "--threads"),
+    ], ids=["idealise-alpha", "idealise-alpha-nan", "pipeline-L", "pipeline-tolerance",
+            "discretise-max-L", "infer-tolerance-nan", "dwell-state", "simulate-n",
+            "simulate-bessel-order", "simulate-rate-inf", "simulate-spacing",
+            "simulate-offset-nan", "simulate-seed", "reproduce-reps", "reproduce-threads"])
+    def test_config_value_outside_its_range_exit_code(self, runner, tmp_path, command, cfg,
+                                                      flag):
+        # a config value reaches its option's type through the default map,
+        # so it is checked by the same code as the flag
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        result = runner.invoke(main, [*self._with_input(tmp_path, command),
+                                      "--config", str(tmp_path / "cfg.json"), "--out", str(out)])
+        assert result.exit_code == 2
+        assert f"Invalid value for '{flag}'" in result.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("config", ["missing.json", "."], ids=["missing", "directory"])
+    def test_config_that_cannot_be_read_exit_code(self, runner, tmp_path, config):
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["infer", "--input", str(tmp_path / "x.csv"),
+                                      "--config", str(tmp_path / config), "--out", str(out)])
+        assert result.exit_code == 2
+        assert "cannot read config file" in result.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("level", ["nan", "inf", "-inf"])
+    def test_non_finite_idealisation_level_exit_code(self, runner, tmp_path, level):
+        # an unreadable input, not a failure of the discretisation
+        src = self._staged_inputs(tmp_path)["discretise"]
+        lines = src.read_text().splitlines(keepends=True)
+        lines[2] = lines[2].rsplit(",", 1)[0] + f",{level}\n"
+        src.write_text("".join(lines))
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["discretise", "--input", str(src), "--out", str(out)])
+        assert result.exit_code == 2
+        assert "cannot read" in result.output
+        assert "levels must be finite" in result.output
         assert sorted(p.name for p in out.iterdir()) == ["run_config.json"]
 
     @pytest.mark.parametrize("rate", [-1000.0, 0.0, 2000.0, float("nan"), float("inf")])
@@ -1019,13 +1099,14 @@ class TestCli:
 
     @pytest.mark.parametrize("rate", ["inf", "nan", "0", "-5"])
     def test_simulate_bad_rate_exit_code(self, runner, tmp_path, rate):
-        # invalid configuration, checked before the kernel is built
+        # outside the range of the option's type: nothing is written
         out = tmp_path / "out"
         result = runner.invoke(main, ["simulate", "--theta", "0.9,0.9", "--n", "10",
                                       "--rate", rate, "--out", str(out)])
         assert result.exit_code == 2
-        assert "--rate must be finite and positive" in result.output
-        assert sorted(p.name for p in out.iterdir()) == ["run_config.json"]
+        assert "Invalid value for '--rate'" in result.output
+        assert "is not in the range 0.0<x<inf" in result.output
+        assert not out.exists()
 
     @pytest.mark.parametrize("args, flag", [
         (["--bessel-cutoff", "0"], "--bessel-cutoff"),
@@ -1044,13 +1125,19 @@ class TestCli:
     ])
     def test_simulate_bad_option_value_exit_code(self, runner, tmp_path, args, flag):
         # a value the kernel, the noise or the ladder would reject is invalid
-        # configuration, found before the chain is simulated
+        # configuration, found before the chain is simulated: by click, with
+        # nothing written, for the ranges --spacing and --offset declare, and
+        # by the kernel's or the noise's constructor after the snapshot
         out = tmp_path / "out"
         result = runner.invoke(main, ["simulate", "--theta", "0.9,0.9", "--n", "10",
                                       "--rate", "1000", *args, "--out", str(out)])
         assert result.exit_code == 2, result.output
-        assert flag in result.output
-        assert sorted(p.name for p in out.iterdir()) == ["run_config.json"]
+        if flag in ("--spacing", "--offset"):
+            assert f"Invalid value for '{flag}'" in result.output
+            assert not out.exists()
+        else:
+            assert flag in result.output
+            assert sorted(p.name for p in out.iterdir()) == ["run_config.json"]
 
     @pytest.mark.parametrize("args", [
         ["--noise", "cauchy", "--sigma", "-1"],

@@ -144,6 +144,14 @@ class TestKernels:
             _bessel_taps.__wrapped__(order, 1_000.0, 10_000.0)
         assert len(make_kernel("bessel", 10_000.0, order=31, cutoff=1_000.0).taps) > 1
 
+    @pytest.mark.parametrize("order, cutoff", [(32, 1_000.0), (33, 1_000.0), (31, 2_500.0)])
+    def test_bessel_order_that_loses_precision_is_invalid(self, order, cutoff):
+        # the response goes negative before its peak a few orders below the
+        # overflow; the error names the order and the cutoff, not the taps
+        with pytest.raises(ValueError, match=f"Bessel order {order} at cutoff {cutoff!r} Hz "
+                                             "has an impulse response that is negative"):
+            make_kernel("bessel", 10_000.0, order=order, cutoff=cutoff)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_taps_are_rejected(self, bad):
         with pytest.raises(ValueError, match="taps must be finite"):
@@ -289,6 +297,15 @@ class TestNoise:
         a = sample_noise(spec, 1000, k, seed=9)
         b = sample_noise(spec, 1000, k, seed=9)
         np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("kind", ["gaussian", "cauchy", "mixture"])
+    def test_one_tap_filter_keeps_the_raw_stream(self, kind):
+        # filtering with the identity kernel's single unit tap draws the same
+        # n values and leaves their bits as they are
+        k = make_kernel("identity", 1.0)
+        filtered = sample_noise(NoiseSpec(kind), 10_000, k, seed=5)
+        raw = sample_noise(NoiseSpec(kind, filtered=False), 10_000, k, seed=5)
+        assert filtered.tobytes() == raw.tobytes()
 
     def test_invalid_spec(self):
         with pytest.raises(ValueError, match="sigma must be positive"):
